@@ -26,7 +26,6 @@
 
 use cashmere_des::SimTime;
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Device-selection policy. [`Policy::Scenario`] is the paper's algorithm;
 /// the others are arena contenders and ablation baselines.
@@ -606,8 +605,11 @@ pub struct Balancer {
     queued: Vec<usize>,
     /// Devices permanently retired (failed); never chosen again.
     dead: Vec<bool>,
-    /// Measured execution time per (kernel, device index).
-    measured: HashMap<(String, usize), SimTime>,
+    /// Kernels with a measurement row, in first-completion order: row `k`
+    /// of `measured` belongs to `kernels[k]`.
+    kernels: Vec<String>,
+    /// Measured execution time per kernel row, one slot per device index.
+    measured: Vec<Vec<Option<SimTime>>>,
     /// Selection policy (`Option` only so decisions can temporarily take
     /// it out past the borrow on the view; always `Some` between calls).
     policy: Option<Box<dyn PlacementPolicy>>,
@@ -619,6 +621,7 @@ impl Clone for Balancer {
             speeds: self.speeds.clone(),
             queued: self.queued.clone(),
             dead: self.dead.clone(),
+            kernels: self.kernels.clone(),
             measured: self.measured.clone(),
             policy: self.policy.as_ref().map(|p| p.clone_box()),
         }
@@ -645,7 +648,8 @@ impl Balancer {
             speeds: relative_speeds.to_vec(),
             queued: vec![0; relative_speeds.len()],
             dead: vec![false; relative_speeds.len()],
-            measured: HashMap::new(),
+            kernels: Vec::new(),
+            measured: Vec::new(),
             policy: Some(build_policy(Policy::Scenario)),
         }
     }
@@ -677,7 +681,9 @@ impl Balancer {
     pub fn retire_device(&mut self, device: usize) {
         self.dead[device] = true;
         self.queued[device] = 0;
-        self.measured.retain(|(_, d), _| *d != device);
+        for row in &mut self.measured {
+            row[device] = None;
+        }
     }
 
     /// Is `device` retired?
@@ -724,15 +730,33 @@ impl Balancer {
     pub fn on_complete(&mut self, kernel: &str, device: usize, time: SimTime) {
         debug_assert!(self.queued[device] > 0);
         self.queued[device] -= 1;
-        self.measured.insert((kernel.to_string(), device), time);
+        let row = match self.row(kernel) {
+            Some(row) => row,
+            None => {
+                self.kernels.push(kernel.to_string());
+                self.measured.push(vec![None; self.speeds.len()]);
+                self.measured.len() - 1
+            }
+        };
+        self.measured[row][device] = Some(time);
         if let Some(p) = self.policy.as_mut() {
             p.observe_completion(kernel, device, time);
         }
     }
 
+    /// Index of `kernel`'s measurement row, if it has one.
+    fn row(&self, kernel: &str) -> Option<usize> {
+        self.kernels.iter().position(|k| k == kernel)
+    }
+
+    /// Measured time of `kernel` per device (`None`: not measured).
+    fn measurements(&self, kernel: &str) -> &[Option<SimTime>] {
+        self.row(kernel).map_or(&[], |row| &self.measured[row])
+    }
+
     /// Has any device measured this kernel yet?
     pub fn has_measurement(&self, kernel: &str) -> bool {
-        self.measured.keys().any(|(k, _)| k == kernel)
+        self.measurements(kernel).iter().any(Option::is_some)
     }
 
     /// Per-device time estimate for `kernel`, in seconds. Measured times
@@ -741,41 +765,26 @@ impl Balancer {
     /// reciprocal of the static speeds (arbitrary unit — only ratios
     /// matter for the choice).
     pub fn estimates(&self, kernel: &str) -> Vec<f64> {
-        let n = self.speeds.len();
-        let mut out = vec![f64::NAN; n];
-        let mut reference: Option<(usize, f64)> = None;
-        // Single pass over the measurement map: no per-device String keys on
-        // this hot path (called for every device-job submission).
-        for ((k, d), t) in &self.measured {
-            if k == kernel {
-                out[*d] = t.as_secs_f64();
-            }
-        }
-        for (d, slot) in out.iter().enumerate() {
-            if !slot.is_nan() && reference.is_none() {
-                reference = Some((d, *slot));
-            }
-        }
-        for (d, slot) in out.iter_mut().enumerate() {
-            if slot.is_nan() {
-                *slot = match reference {
-                    Some((rd, rt)) => rt * self.speeds[rd] / self.speeds[d],
-                    None => 1.0 / self.speeds[d],
-                };
-            }
-        }
-        out
+        let measured = self.measurements(kernel);
+        let reference = measured
+            .iter()
+            .enumerate()
+            .find_map(|(d, t)| t.map(|t| (d, t.as_secs_f64())));
+        (0..self.speeds.len())
+            .map(|d| match (measured.get(d).copied().flatten(), reference) {
+                (Some(t), _) => t.as_secs_f64(),
+                (None, Some((rd, rt))) => rt * self.speeds[rd] / self.speeds[d],
+                (None, None) => 1.0 / self.speeds[d],
+            })
+            .collect()
     }
 
     /// Which devices have a measured time for `kernel`.
     fn measured_mask(&self, kernel: &str) -> Vec<bool> {
-        let mut out = vec![false; self.speeds.len()];
-        for (k, d) in self.measured.keys() {
-            if k == kernel {
-                out[*d] = true;
-            }
-        }
-        out
+        let measured = self.measurements(kernel);
+        (0..self.speeds.len())
+            .map(|d| matches!(measured.get(d), Some(Some(_))))
+            .collect()
     }
 
     /// Choose the device for the next job of `kernel` by the Sec. III-B
@@ -1006,6 +1015,36 @@ mod tests {
         b.retire_device(1);
         assert!(!b.any_alive());
         assert_eq!(b.choose_among("k", &[true, true]), None);
+    }
+
+    #[test]
+    fn retiring_a_device_clears_its_row_and_survivors_extrapolate() {
+        // Device 1 measures slower than its table entry predicts, so the
+        // reference device decides what the unmeasured device 2 gets.
+        let mut b = Balancer::new(&[40.0, 20.0, 10.0]);
+        b.on_submit(0);
+        b.on_complete("k", 0, ms(100));
+        b.on_submit(1);
+        b.on_complete("k", 1, ms(300));
+        let est = b.estimates("k");
+        assert!((est[2] - 0.400).abs() < 1e-12, "from device 0: 100·40/10");
+        b.retire_device(0);
+        assert!(b.has_measurement("k"), "device 1's measurement survives");
+        let est = b.estimates("k");
+        assert!((est[1] - 0.300).abs() < 1e-12);
+        assert!((est[2] - 0.600).abs() < 1e-12, "from device 1: 300·20/10");
+        assert!((est[0] - 0.150).abs() < 1e-12, "dead row extrapolated too");
+        let rows = b.explain("k", &[true, true, true]);
+        assert_eq!(
+            rows.iter().map(|r| r.measured).collect::<Vec<_>>(),
+            vec![false, true, false]
+        );
+        // Other kernels' rows lose the retired device as well.
+        b.on_submit(2);
+        b.on_complete("j", 2, ms(50));
+        b.retire_device(2);
+        assert!(!b.has_measurement("j"));
+        assert!(b.has_measurement("k"));
     }
 
     #[test]

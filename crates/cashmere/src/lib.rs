@@ -461,6 +461,176 @@ mod tests {
         assert!(rt.cpu_fallbacks >= r.fault_cpu_fallbacks);
     }
 
+    /// `DoubleApp` whose device jobs carry a calibration scale.
+    struct ScaledDoubleApp {
+        inner: DoubleApp,
+        extra_scale: f64,
+    }
+
+    impl ClusterApp for ScaledDoubleApp {
+        type Input = (u64, u64);
+        type Output = f64;
+
+        fn step(&self, input: &(u64, u64)) -> DcStep<(u64, u64)> {
+            self.inner.step(input)
+        }
+
+        fn combine(&self, input: &(u64, u64), c: Vec<f64>) -> f64 {
+            self.inner.combine(input, c)
+        }
+
+        fn input_bytes(&self, input: &(u64, u64)) -> u64 {
+            self.inner.input_bytes(input)
+        }
+
+        fn output_bytes(&self, o: &f64) -> u64 {
+            self.inner.output_bytes(o)
+        }
+    }
+
+    impl CashmereApp for ScaledDoubleApp {
+        fn device_jobs(&self, input: &(u64, u64)) -> Vec<(u64, u64)> {
+            self.inner.device_jobs(input)
+        }
+
+        fn kernel_call(&self, input: &(u64, u64)) -> KernelCall {
+            let mut call = self.inner.kernel_call(input);
+            call.extra_scale = self.extra_scale;
+            call
+        }
+
+        fn job_output(&self, input: &(u64, u64), args: Vec<ArgValue>) -> f64 {
+            self.inner.job_output(input, args)
+        }
+
+        fn leaf_cpu(&self, input: &(u64, u64)) -> (SimTime, f64) {
+            self.inner.leaf_cpu(input)
+        }
+    }
+
+    #[test]
+    fn memoized_kernel_time_matches_a_fresh_estimate_bit_for_bit() {
+        use cashmere_mcl::estimate_time;
+        for extra_scale in [1.0, 3.7] {
+            let app = ScaledDoubleApp {
+                inner: DoubleApp {
+                    node_grain: 1 << 16,
+                    dev_jobs: 8,
+                },
+                extra_scale,
+            };
+            // gtx480 and k20 share one memo entry (same gpu version and
+            // geometry), the Phi runs the perfect version.
+            let spec = ClusterSpec {
+                node_devices: vec![vec![
+                    "gtx480".to_string(),
+                    "k20".to_string(),
+                    "xeon_phi".to_string(),
+                ]],
+            };
+            let mut cluster = build_cluster(
+                app,
+                registry(),
+                &spec,
+                SimConfig::default(),
+                RuntimeConfig::default(),
+            )
+            .unwrap();
+            assert_eq!(cluster.leaf_runtime_mut().scale_device_speed("k20", 2.0), 1);
+            let _ = cluster.run_root((0, 1 << 20));
+            let rt = cluster.leaf_runtime();
+            assert!(rt.registry.cache_hits() > 0, "the run must hit the memo");
+            let kernel = rt.registry.kernel_id("double_all").unwrap();
+            let node = &rt.nodes[0];
+            let rows = node.balancer.explain("double_all", &[true, true, true]);
+            for (d, slot) in node.devices.iter().enumerate() {
+                assert!(rows[d].measured, "device {d} measured a completion");
+                // Every device job has the same shape: one memo entry per
+                // (version, geometry).
+                let launch = rt.registry.launch(kernel, slot.sim.level).unwrap();
+                let mut entries = rt.registry.memo().iter().filter(|(k, _)| {
+                    (k.level, k.group_size, k.warp_width)
+                        == (
+                            launch.level,
+                            launch.config.group_size,
+                            launch.config.warp_width,
+                        )
+                });
+                let (_, stats) = entries.next().unwrap();
+                assert!(entries.next().is_none());
+                let mut scaled = stats.clone();
+                if extra_scale != 1.0 {
+                    scaled.scale(extra_scale);
+                }
+                let fresh = estimate_time(&scaled, &slot.sim.params, launch.config.class).total_s;
+                let expected = SimTime::from_secs_f64(fresh / slot.sim.speed_scale);
+                assert_eq!(
+                    rows[d].estimate_s.to_bits(),
+                    expected.as_secs_f64().to_bits(),
+                    "device {} at extra_scale {extra_scale}",
+                    slot.sim.level_name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn run_report_memo_counts_equal_the_registry_counters() {
+        let app = DoubleApp {
+            node_grain: 16 * 1024,
+            dev_jobs: 8,
+        };
+        let mut cluster = build_cluster(
+            app,
+            registry(),
+            &ClusterSpec::paper_hetero_small(),
+            SimConfig::default(),
+            RuntimeConfig::default(),
+        )
+        .unwrap();
+        let _ = cluster.run_root((0, 1 << 22));
+        let r = cluster.report().clone();
+        let rt = cluster.leaf_runtime();
+        assert!(
+            rt.registry.cache_len() > 1,
+            "mixed devices, several entries"
+        );
+        assert_eq!(r.kernel_memo_hits, rt.registry.cache_hits());
+        assert_eq!(r.kernel_memo_misses, rt.registry.cache_misses());
+        // One memo lookup per sampled device job.
+        assert_eq!(r.kernel_memo_hits + r.kernel_memo_misses, rt.kernels_run);
+    }
+
+    #[test]
+    fn functional_mode_never_touches_the_memo() {
+        let app = DoubleApp {
+            node_grain: 8192,
+            dev_jobs: 8,
+        };
+        let mut cluster = build_cluster(
+            app,
+            registry(),
+            &ClusterSpec::paper_hetero_small(),
+            SimConfig::default(),
+            RuntimeConfig {
+                functional: true,
+                ..RuntimeConfig::default()
+            },
+        )
+        .unwrap();
+        let n = 256 * 1024;
+        assert_eq!(cluster.run_root((0, n)), expected(n));
+        let r = cluster.report().clone();
+        let rt = cluster.leaf_runtime();
+        assert!(rt.kernels_run > 0);
+        assert_eq!((r.kernel_memo_hits, r.kernel_memo_misses), (0, 0));
+        assert_eq!(
+            (rt.registry.cache_hits(), rt.registry.cache_misses()),
+            (0, 0)
+        );
+        assert_eq!(rt.registry.cache_len(), 0);
+    }
+
     #[test]
     fn deterministic_heterogeneous_run() {
         let run = || {

@@ -5,7 +5,10 @@
 //! holding versions of the same kernel at different levels (paper
 //! Sec. III-A: `perfect`, `gpu`, `amd`, `hd7970`, …). The registry compiles
 //! them all, and for each physical device "automatically chooses the most
-//! specific kernel version".
+//! specific kernel version". Kernel names are interned to dense
+//! [`KernelId`]s, and the choice plus its launch geometry is resolved once
+//! per (kernel, hierarchy level) when a version is registered, so a device
+//! job reads a table instead of re-deriving it.
 //!
 //! Because leaf jobs in a divide-and-conquer application typically have the
 //! same size (the paper's own observation in Sec. III-B), the registry also
@@ -16,16 +19,75 @@
 use cashmere_des::obs::prof;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::interp::Sampling;
-use cashmere_mcl::launch::{LaunchConfig, LaunchKey, LaunchMemo};
+use cashmere_mcl::launch::{LaunchConfig, LaunchKey, LaunchMemo, MemoEntry};
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
 use cashmere_mcl::{compile, CheckError, CheckedKernel};
 use std::collections::HashMap;
 
-/// One kernel's versions, ordered by registration.
-#[derive(Debug, Default)]
+pub use cashmere_mcl::launch::KernelId;
+
+/// A kernel launch resolved for one device level (paper Sec. III-A): the
+/// most specific version and the geometry MCL derives for it on that
+/// device. The registry resolves every (kernel, level) pair when a version
+/// is registered, so a device job only reads its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Launch {
+    /// Private with `version`: together they index the registry.
+    kernel: KernelId,
+    /// Index of the selected version among the kernel's versions.
+    version: usize,
+    /// Level of the selected version.
+    pub level: LevelId,
+    pub config: LaunchConfig,
+}
+
+impl Launch {
+    pub fn kernel(&self) -> KernelId {
+        self.kernel
+    }
+
+    /// Memo key of a sampled launch of this version with argument shape
+    /// `shape`.
+    pub fn key(&self, shape: Vec<i64>) -> StatsKey {
+        StatsKey {
+            kernel: self.kernel,
+            level: self.level,
+            group_size: self.config.group_size,
+            warp_width: self.config.warp_width,
+            shape,
+        }
+    }
+}
+
+/// One kernel: its versions, ordered by registration, and the launch each
+/// hierarchy level resolves to.
+#[derive(Debug)]
 struct KernelVersions {
+    name: String,
     versions: Vec<CheckedKernel>,
+    /// Indexed by `LevelId`; `None` where no version applies.
+    launches: Vec<Option<Launch>>,
+}
+
+impl KernelVersions {
+    /// Re-resolve every level after the version set changed.
+    fn resolve(&mut self, id: KernelId, h: &Hierarchy) {
+        let levels: Vec<LevelId> = self.versions.iter().map(|v| v.level).collect();
+        self.launches = (0..h.len())
+            .map(|device| {
+                let device = LevelId(device);
+                let level = h.most_specific(&levels, device)?;
+                let version = levels.iter().position(|&l| l == level)?;
+                Some(Launch {
+                    kernel: id,
+                    version,
+                    level,
+                    config: LaunchConfig::for_device(&self.versions[version], h, device),
+                })
+            })
+            .collect();
+    }
 }
 
 /// Cache key: kernel identity + geometry + argument shape (the memoization
@@ -40,7 +102,9 @@ pub fn arg_shape(args: &[ArgValue]) -> Vec<i64> {
 /// Registry of compiled kernels plus the hardware hierarchy they target.
 pub struct KernelRegistry {
     hierarchy: Hierarchy,
-    kernels: HashMap<String, KernelVersions>,
+    /// Interned kernel names; `kernels[id.0]` holds kernel `id`.
+    ids: HashMap<String, KernelId>,
+    kernels: Vec<KernelVersions>,
     memo: LaunchMemo,
     pub default_sampling: Sampling,
 }
@@ -49,7 +113,8 @@ impl KernelRegistry {
     pub fn new(hierarchy: Hierarchy) -> KernelRegistry {
         KernelRegistry {
             hierarchy,
-            kernels: HashMap::new(),
+            ids: HashMap::new(),
+            kernels: Vec::new(),
             memo: LaunchMemo::new(),
             default_sampling: Sampling::default(),
         }
@@ -67,7 +132,21 @@ impl KernelRegistry {
         let ck = compile(src, &self.hierarchy)?;
         let name = ck.kernel.name.clone();
         let level = ck.level;
-        let entry = self.kernels.entry(name.clone()).or_default();
+        let id = match self.ids.get(&name) {
+            Some(&id) => id,
+            None => {
+                let id =
+                    KernelId(u32::try_from(self.kernels.len()).expect("fewer than 2^32 kernels"));
+                self.ids.insert(name.clone(), id);
+                self.kernels.push(KernelVersions {
+                    name: name.clone(),
+                    versions: Vec::new(),
+                    launches: Vec::new(),
+                });
+                id
+            }
+        };
+        let entry = &mut self.kernels[id.0 as usize];
         if entry.versions.iter().any(|v| v.level == level) {
             return Err(CheckError {
                 line: 1,
@@ -78,32 +157,58 @@ impl KernelRegistry {
             });
         }
         entry.versions.push(ck);
+        entry.resolve(id, &self.hierarchy);
         Ok((name, level))
     }
 
     /// Kernel names registered.
     pub fn kernel_names(&self) -> Vec<&str> {
-        let mut v: Vec<&str> = self.kernels.keys().map(String::as_str).collect();
+        let mut v: Vec<&str> = self.kernels.iter().map(|k| k.name.as_str()).collect();
         v.sort_unstable();
         v
     }
 
+    /// Dense id of a registered kernel.
+    pub fn kernel_id(&self, kernel: &str) -> Option<KernelId> {
+        self.ids.get(kernel).copied()
+    }
+
+    /// Name of a registered kernel.
+    pub fn kernel_name(&self, id: KernelId) -> &str {
+        &self.kernels[id.0 as usize].name
+    }
+
     /// Levels a kernel has versions for.
     pub fn versions_of(&self, kernel: &str) -> Vec<LevelId> {
-        self.kernels
-            .get(kernel)
-            .map(|k| k.versions.iter().map(|v| v.level).collect())
+        self.kernel_id(kernel)
+            .map(|id| {
+                self.kernels[id.0 as usize]
+                    .versions
+                    .iter()
+                    .map(|v| v.level)
+                    .collect()
+            })
             .unwrap_or_default()
+    }
+
+    /// The launch of kernel `id` on `device`, resolved at registration.
+    /// `None` when no version applies — the caller falls back to the CPU
+    /// leaf.
+    pub fn launch(&self, id: KernelId, device: LevelId) -> Option<Launch> {
+        *self.kernels[id.0 as usize].launches.get(device.0)?
+    }
+
+    /// The checked kernel version a resolved launch runs.
+    pub fn version(&self, launch: &Launch) -> &CheckedKernel {
+        &self.kernels[launch.kernel.0 as usize].versions[launch.version]
     }
 
     /// Most-specific version of `kernel` applicable to `device`
     /// (paper Sec. III-A). `None` when no version applies — the caller
     /// falls back to the CPU leaf.
     pub fn select(&self, kernel: &str, device: LevelId) -> Option<&CheckedKernel> {
-        let versions = self.kernels.get(kernel)?;
-        let levels: Vec<LevelId> = versions.versions.iter().map(|v| v.level).collect();
-        let best = self.hierarchy.most_specific(&levels, device)?;
-        versions.versions.iter().find(|v| v.level == best)
+        let launch = self.launch(self.kernel_id(kernel)?, device)?;
+        Some(self.version(&launch))
     }
 
     /// Paper Sec. III-B: nodes whose devices have no applicable hardware
@@ -124,19 +229,19 @@ impl KernelRegistry {
 
     /// Launch geometry for `kernel` on `device`.
     pub fn launch_config(&self, kernel: &str, device: LevelId) -> Option<LaunchConfig> {
-        let ck = self.select(kernel, device)?;
-        Some(LaunchConfig::for_device(ck, &self.hierarchy, device))
+        Some(self.launch(self.kernel_id(kernel)?, device)?.config)
     }
 
-    /// Look up memoized statistics, counting the hit or miss.
-    pub fn cached_stats(&mut self, key: &StatsKey) -> Option<KernelStats> {
+    /// Look up a memoized launch, counting the hit or miss. A hit borrows
+    /// the entry: its statistics and the costs already modelled from them.
+    pub fn cached_stats(&mut self, key: &StatsKey) -> Option<&mut MemoEntry> {
         let _prof = prof::scope("mcl::memo");
         self.memo.lookup(key)
     }
 
-    /// Insert statistics into the memo table.
-    pub fn cache_stats(&mut self, key: StatsKey, stats: KernelStats) {
-        self.memo.insert(key, stats);
+    /// Insert statistics into the memo table and return the new entry.
+    pub fn cache_stats(&mut self, key: StatsKey, stats: KernelStats) -> &mut MemoEntry {
+        self.memo.insert(key, stats)
     }
 
     pub fn cache_len(&self) -> usize {
@@ -199,6 +304,32 @@ mod tests {
         assert!(r
             .select("nonexistent", DeviceKind::Gtx480.level(h))
             .is_none());
+    }
+
+    #[test]
+    fn launch_table_follows_each_registration() {
+        let mut r = KernelRegistry::new(standard_hierarchy());
+        r.register(PERFECT).unwrap();
+        let h = standard_hierarchy();
+        let id = r.kernel_id("axpy").unwrap();
+        assert_eq!(r.kernel_name(id), "axpy");
+        assert!(r.kernel_id("nonexistent").is_none());
+        let gtx = DeviceKind::Gtx480.level(&h);
+        assert_eq!(h.name(r.launch(id, gtx).unwrap().level), "perfect");
+        // A more specific version re-resolves the row.
+        r.register(GPU).unwrap();
+        assert_eq!(r.kernel_id("axpy"), Some(id), "ids are stable");
+        let versions = r.versions_of("axpy");
+        for level in (0..h.len()).map(LevelId) {
+            let launch = r.launch(id, level);
+            assert_eq!(launch.map(|l| l.level), h.most_specific(&versions, level));
+            if let Some(launch) = launch {
+                let ck = r.version(&launch);
+                assert_eq!(ck.level, launch.level);
+                assert_eq!(launch.config, LaunchConfig::for_device(ck, &h, level));
+            }
+        }
+        assert_eq!(h.name(r.launch(id, gtx).unwrap().level), "gpu");
     }
 
     #[test]
@@ -268,7 +399,7 @@ mod tests {
     fn stats_cache_roundtrip() {
         let mut r = registry();
         let key = StatsKey {
-            kernel: "axpy".into(),
+            kernel: r.kernel_id("axpy").unwrap(),
             level: r.hierarchy().id("gpu").unwrap(),
             group_size: 256,
             warp_width: 32,

@@ -24,14 +24,12 @@
 //!    memory is exhausted (the paper's try/catch → `leafCPU` pattern).
 
 use crate::balancer::{Balancer, DeviceEstimate, PolicyDesc};
-use crate::registry::{arg_shape, KernelRegistry, StatsKey};
+use crate::registry::{arg_shape, KernelId, KernelRegistry, Launch};
 use cashmere_des::fault::FaultInjector;
 use cashmere_des::obs::{prof, MetricsRegistry};
 use cashmere_des::trace::{LaneId, SpanId, SpanKind, Trace};
 use cashmere_des::SimTime;
 use cashmere_devsim::{ExecMode, SimDevice};
-use cashmere_mcl::cost::estimate_time;
-use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::value::ArgValue;
 use cashmere_satin::{ClusterApp, LeafCtx, LeafPlan, LeafRuntime, RunReport};
 use serde::{Deserialize, Serialize};
@@ -211,7 +209,7 @@ pub struct DeviceSlot {
     /// Live allocations expiring when their job's d2h completes.
     allocations: Vec<(SimTime, cashmere_devsim::BufferId)>,
     /// Resident (kernel-shared) buffers already on the device, by kernel.
-    resident: std::collections::HashMap<String, cashmere_devsim::BufferId>,
+    resident: std::collections::HashMap<KernelId, cashmere_devsim::BufferId>,
     pub jobs_run: u64,
     /// Permanently failed (injected device death); never used again.
     pub dead: bool,
@@ -222,17 +220,18 @@ pub struct NodeDevices {
     pub devices: Vec<DeviceSlot>,
     pub balancer: Balancer,
     /// Pending completions: (kernel, device, kernel_time, finish_time).
-    pending: Vec<(String, usize, SimTime, SimTime)>,
+    pending: Vec<(KernelId, usize, SimTime, SimTime)>,
 }
 
 impl NodeDevices {
     /// Report to the balancer every job that has finished by `now`.
-    fn reap(&mut self, now: SimTime) {
+    fn reap(&mut self, now: SimTime, registry: &KernelRegistry) {
         let mut i = 0;
         while i < self.pending.len() {
             if self.pending[i].3 <= now {
                 let (kernel, d, t, _) = self.pending.swap_remove(i);
-                self.balancer.on_complete(&kernel, d, t);
+                self.balancer
+                    .on_complete(registry.kernel_name(kernel), d, t);
             } else {
                 i += 1;
             }
@@ -424,7 +423,8 @@ impl CashmereLeafRuntime {
         const LAUNCH_RETRY_BUDGET: u32 = 3;
         let launch_retry_penalty = SimTime::from_micros(50);
 
-        let call = app.kernel_call(job);
+        let mut call = app.kernel_call(job);
+        let kernel = self.registry.kernel_id(&call.kernel);
         let mut submit_at = submit_at;
         let mut launch_attempts = 0u32;
         loop {
@@ -439,18 +439,18 @@ impl CashmereLeafRuntime {
                     }
                 }
             }
-            nd.reap(submit_at);
+            nd.reap(submit_at, &self.registry);
 
-            // Devices that actually have an applicable kernel version.
-            let kernel_ok: Vec<bool> = nd
+            // The launch of each device that has an applicable kernel version.
+            let launches: Vec<Option<Launch>> = nd
                 .devices
                 .iter()
-                .map(|d| self.registry.select(&call.kernel, d.sim.level).is_some())
+                .map(|d| kernel.and_then(|k| self.registry.launch(k, d.sim.level)))
                 .collect();
-            let allowed: Vec<bool> = kernel_ok
+            let allowed: Vec<bool> = launches
                 .iter()
                 .zip(&nd.devices)
-                .map(|(ok, d)| *ok && !d.dead)
+                .map(|(l, d)| l.is_some() && !d.dead)
                 .collect();
 
             // Snapshot the candidate table before the choice (the audit log
@@ -459,15 +459,18 @@ impl CashmereLeafRuntime {
                 .enabled()
                 .then(|| nd.balancer.explain(&call.kernel, &allowed));
 
-            let chosen = nd.balancer.choose_among(&call.kernel, &allowed);
-            let Some(didx) = chosen else {
+            let chosen = nd
+                .balancer
+                .choose_among(&call.kernel, &allowed)
+                .and_then(|d| Some((d, launches[d]?)));
+            let Some((didx, launch)) = chosen else {
                 // No device can run this kernel: leafCPU fallback,
                 // serialized on the managing core. Attribute it to faults
                 // when a lost device would otherwise have qualified.
-                if kernel_ok
+                if launches
                     .iter()
                     .zip(&nd.devices)
-                    .any(|(ok, d)| *ok && d.dead)
+                    .any(|(l, d)| l.is_some() && d.dead)
                 {
                     report.fault_cpu_fallbacks += 1;
                 }
@@ -513,8 +516,9 @@ impl CashmereLeafRuntime {
                 app,
                 node,
                 didx,
+                launch,
                 job,
-                &call,
+                &mut call,
                 submit_at,
                 cpu_cursor,
                 trace,
@@ -542,19 +546,21 @@ impl CashmereLeafRuntime {
         }
     }
 
-    /// Place one device job on the chosen device. Returns
-    /// `Err(death_time)` when the device's injected death aborts the job
-    /// in flight; `Ok((completion, output, placed))` otherwise, where
-    /// `placed` is false when memory exhaustion degraded the job to the CPU
-    /// leaf (pre-existing model behavior).
+    /// Place one device job on the chosen device, which runs `launch`.
+    /// Returns `Err(death_time)` when the device's injected death aborts
+    /// the job in flight; `Ok((completion, output, placed))` otherwise,
+    /// where `placed` is false when memory exhaustion degraded the job to
+    /// the CPU leaf (pre-existing model behavior). A placed job's arguments
+    /// move out of `call` into its output.
     #[allow(clippy::too_many_arguments)]
     fn schedule_on_device<A: CashmereApp>(
         &mut self,
         app: &A,
         node: usize,
         didx: usize,
+        launch: Launch,
         job: &A::Input,
-        call: &KernelCall,
+        call: &mut KernelCall,
         submit_at: SimTime,
         cpu_cursor: &mut SimTime,
         trace: &mut Trace,
@@ -578,7 +584,7 @@ impl CashmereLeafRuntime {
             // First job of this kernel on this device uploads the resident
             // data (kept for the rest of the run).
             let resident_needed =
-                if call.resident_bytes > 0 && !slot.resident.contains_key(&call.kernel) {
+                if call.resident_bytes > 0 && !slot.resident.contains_key(&launch.kernel()) {
                     call.resident_bytes
                 } else {
                     0
@@ -616,70 +622,51 @@ impl CashmereLeafRuntime {
                     .memory
                     .alloc(resident_needed)
                     .expect("checked fit above");
-                slot.resident.insert(call.kernel.clone(), id);
+                slot.resident.insert(launch.kernel(), id);
                 resident_upload = resident_needed;
             }
         }
 
         // Interpret the kernel: fully (functional) or sampled+memoized.
-        let device_level = nd.devices[didx].sim.level;
-        let (level, cfg) = {
-            let ck = self
-                .registry
-                .select(&call.kernel, device_level)
-                .expect("allowed device has a version");
-            (
-                ck.level,
-                LaunchConfig::for_device(ck, self.registry.hierarchy(), device_level),
-            )
-        };
-        let key = StatsKey {
-            kernel: call.kernel.clone(),
-            level,
-            group_size: cfg.group_size,
-            warp_width: cfg.warp_width,
-            shape: arg_shape(&call.args),
-        };
-
-        // The memo stores *unscaled* statistics; calibration scaling is
-        // applied per call (jobs with the same shape may calibrate
-        // differently).
-        let (args_back, stats) = if !self.config.functional {
-            let mode = ExecMode::Sampled {
-                sampling: self.registry.default_sampling,
-                extra_scale: 1.0,
-            };
-            let cached = self.registry.cached_stats(&key);
-            let mut stats = match cached {
-                Some(cached) => {
+        let device = &nd.devices[didx].sim;
+        let (args_back, total_s) = if !self.config.functional {
+            // The memo stores *unscaled* statistics plus the modelled cost
+            // per (device level, calibration scale) derived from them;
+            // jobs with the same shape may calibrate differently.
+            let key = launch.key(arg_shape(&call.args));
+            let total_s = match self.registry.cached_stats(&key) {
+                Some(entry) => {
                     report.kernel_memo_hits += 1;
-                    cached
+                    entry.total_s(
+                        device.level,
+                        &device.params,
+                        launch.config.class,
+                        call.extra_scale,
+                    )
                 }
                 None => {
                     report.kernel_memo_misses += 1;
-                    let ck = self
-                        .registry
-                        .select(&call.kernel, device_level)
-                        .expect("allowed device has a version");
-                    let run = nd.devices[didx]
-                        .sim
+                    let mode = ExecMode::Sampled {
+                        sampling: self.registry.default_sampling,
+                        extra_scale: 1.0,
+                    };
+                    let ck = self.registry.version(&launch);
+                    let run = device
                         .run_kernel(self.registry.hierarchy(), ck, call.args.clone(), mode)
                         .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                    self.registry.cache_stats(key.clone(), run.stats.clone());
-                    run.stats
+                    self.registry.cache_stats(key, run.stats).total_s(
+                        device.level,
+                        &device.params,
+                        launch.config.class,
+                        call.extra_scale,
+                    )
                 }
             };
-            if call.extra_scale != 1.0 {
-                stats.scale(call.extra_scale);
-            }
-            (call.args.clone(), stats)
+            (None, total_s)
         } else {
-            let ck = self
-                .registry
-                .select(&call.kernel, device_level)
-                .expect("allowed device has a version");
-            let run = nd.devices[didx]
-                .sim
+            // Full launches compute real results: never memoized.
+            let ck = self.registry.version(&launch);
+            let run = device
                 .run_kernel(
                     self.registry.hierarchy(),
                     ck,
@@ -687,16 +674,15 @@ impl CashmereLeafRuntime {
                     ExecMode::Full,
                 )
                 .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-            (run.args, run.stats)
+            (Some(run.args), run.cost.total_s)
         };
 
         let nd = &mut self.nodes[node];
         let slot = &mut nd.devices[didx];
-        let cost = estimate_time(&stats, &slot.sim.params, cfg.class);
         // Costs are physical; the advisor's virtual speed scale applies at
-        // readout, same as `SimDevice::run_kernel` (this cached-stats path
+        // readout, same as `SimDevice::run_kernel` (this cached-cost path
         // bypasses it).
-        let kernel_time = SimTime::from_secs_f64(cost.total_s / slot.sim.speed_scale);
+        let kernel_time = SimTime::from_secs_f64(total_s / slot.sim.speed_scale);
 
         // Reserve memory until the job leaves the device.
         // Timelines: h2d from submission; exec after the copy; d2h after.
@@ -786,10 +772,10 @@ impl CashmereLeafRuntime {
                 nd.balancer.queued(didx) as f64,
             );
         }
-        nd.pending
-            .push((call.kernel.clone(), didx, kernel_time, dh_e));
+        nd.pending.push((launch.kernel(), didx, kernel_time, dh_e));
 
-        Ok((dh_e, app.job_output(job, args_back), true))
+        let args = args_back.unwrap_or_else(|| std::mem::take(&mut call.args));
+        Ok((dh_e, app.job_output(job, args), true))
     }
 }
 

@@ -13,10 +13,11 @@
 
 use crate::ast::{walk_stmts, Expr, StmtKind};
 use crate::check::CheckedKernel;
-use crate::cost::DeviceClass;
+use crate::cost::{estimate_time, DeviceClass};
 use crate::interp::{ExecOptions, Sampling};
 use crate::stats::KernelStats;
 use crate::value::ArgValue;
+use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -108,6 +109,12 @@ impl LaunchConfig {
     }
 }
 
+/// Dense id of a registered kernel name, assigned in registration order by
+/// the kernel registry. Memo keys carry the id instead of the name, so
+/// building a key never clones a `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct KernelId(pub u32);
+
 /// Memoization key for a sampled measurement launch: kernel identity,
 /// launch geometry, and the argument *shape signature* (scalar values and
 /// array dims — never array contents, which sampled statistics do not
@@ -117,7 +124,7 @@ impl LaunchConfig {
 /// cache must never introduce run-order dependence into `--jobs` replays.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct LaunchKey {
-    pub kernel: String,
+    pub kernel: KernelId,
     pub level: LevelId,
     pub group_size: usize,
     pub warp_width: usize,
@@ -144,15 +151,72 @@ impl LaunchKey {
     }
 }
 
+/// Modelled costs one memo entry keeps at most; past that, costs are
+/// recomputed per call (still exact, only slower).
+const COSTS_PER_ENTRY: usize = 32;
+
+/// One memoized sampled launch: its *unscaled* statistics plus the modelled
+/// kernel time already derived from them, per (device level, extra scale).
+#[derive(Debug, Clone, Default)]
+pub struct MemoEntry {
+    pub stats: KernelStats,
+    /// `(device level, extra_scale bits, total_s)`.
+    costs: Vec<(LevelId, u64, f64)>,
+}
+
+impl MemoEntry {
+    fn new(stats: KernelStats) -> MemoEntry {
+        MemoEntry {
+            stats,
+            costs: Vec::new(),
+        }
+    }
+
+    /// `estimate_time(stats × extra_scale, params, class).total_s` for a
+    /// device at level `device`, whose resolved `params` and `class` the
+    /// caller passes. Computed on the first call per (device, extra_scale)
+    /// and served from the entry afterwards. This is exact: `estimate_time`
+    /// is pure, and within one hierarchy a level's parameters and class
+    /// never change, so the stored value has the bits a recomputation
+    /// would produce.
+    pub fn total_s(
+        &mut self,
+        device: LevelId,
+        params: &ResolvedParams,
+        class: DeviceClass,
+        extra_scale: f64,
+    ) -> f64 {
+        let bits = extra_scale.to_bits();
+        if let Some(&(_, _, t)) = self
+            .costs
+            .iter()
+            .find(|(d, b, _)| *d == device && *b == bits)
+        {
+            return t;
+        }
+        let t = if extra_scale == 1.0 {
+            estimate_time(&self.stats, params, class).total_s
+        } else {
+            let mut scaled = self.stats.clone();
+            scaled.scale(extra_scale);
+            estimate_time(&scaled, params, class).total_s
+        };
+        if self.costs.len() < COSTS_PER_ENTRY {
+            self.costs.push((device, bits, t));
+        }
+        t
+    }
+}
+
 /// Memo table for sampled-launch statistics with hit/miss accounting.
 ///
 /// Repeated identical measurement launches are the common case in sweeps
 /// and the fig6 corpus; the memo turns every repeat into a `BTreeMap`
-/// lookup. The stored statistics are *unscaled* — calibration scaling is
-/// applied per call by the runtime.
+/// lookup that borrows the entry. The stored statistics are *unscaled* —
+/// calibration scaling is applied per call (see [`MemoEntry::total_s`]).
 #[derive(Debug, Default)]
 pub struct LaunchMemo {
-    map: BTreeMap<LaunchKey, KernelStats>,
+    map: BTreeMap<LaunchKey, MemoEntry>,
     hits: u64,
     misses: u64,
 }
@@ -163,11 +227,11 @@ impl LaunchMemo {
     }
 
     /// Look up a memoized result, counting the hit or miss.
-    pub fn lookup(&mut self, key: &LaunchKey) -> Option<KernelStats> {
-        match self.map.get(key) {
-            Some(s) => {
+    pub fn lookup(&mut self, key: &LaunchKey) -> Option<&mut MemoEntry> {
+        match self.map.get_mut(key) {
+            Some(entry) => {
                 self.hits += 1;
-                Some(s.clone())
+                Some(entry)
             }
             None => {
                 self.misses += 1;
@@ -178,11 +242,15 @@ impl LaunchMemo {
 
     /// Look up without touching the counters.
     pub fn peek(&self, key: &LaunchKey) -> Option<&KernelStats> {
-        self.map.get(key)
+        self.map.get(key).map(|e| &e.stats)
     }
 
-    pub fn insert(&mut self, key: LaunchKey, stats: KernelStats) {
-        self.map.insert(key, stats);
+    /// Memoize `stats` under `key` (replacing any earlier entry) and return
+    /// the new entry.
+    pub fn insert(&mut self, key: LaunchKey, stats: KernelStats) -> &mut MemoEntry {
+        let entry = self.map.entry(key).or_default();
+        *entry = MemoEntry::new(stats);
+        entry
     }
 
     pub fn len(&self) -> usize {
@@ -203,7 +271,7 @@ impl LaunchMemo {
 
     /// Deterministic (key-ordered) iteration over memoized entries.
     pub fn iter(&self) -> impl Iterator<Item = (&LaunchKey, &KernelStats)> {
-        self.map.iter()
+        self.map.iter().map(|(k, e)| (k, &e.stats))
     }
 }
 
@@ -266,25 +334,25 @@ mod tests {
         use crate::ast::ElemTy;
         use crate::value::ArrayArg;
         let mut memo = LaunchMemo::new();
-        let key = |kernel: &str, n: i64| LaunchKey {
-            kernel: kernel.to_string(),
+        let key = |kernel: u32, n: i64| LaunchKey {
+            kernel: KernelId(kernel),
             level: LevelId(0),
             group_size: 256,
             warp_width: 32,
             shape: vec![n],
         };
-        assert!(memo.lookup(&key("b", 8)).is_none());
-        memo.insert(key("b", 8), KernelStats::default());
-        memo.insert(key("a", 8), KernelStats::default());
-        assert!(memo.lookup(&key("b", 8)).is_some());
+        assert!(memo.lookup(&key(1, 8)).is_none());
+        memo.insert(key(1, 8), KernelStats::default());
+        memo.insert(key(0, 8), KernelStats::default());
+        assert!(memo.lookup(&key(1, 8)).is_some());
         assert!(
-            memo.lookup(&key("b", 9)).is_none(),
+            memo.lookup(&key(1, 9)).is_none(),
             "shape is part of the key"
         );
         assert_eq!((memo.hits(), memo.misses()), (1, 2));
         assert_eq!(memo.len(), 2);
-        let order: Vec<&str> = memo.iter().map(|(k, _)| k.kernel.as_str()).collect();
-        assert_eq!(order, vec!["a", "b"], "deterministic key-ordered iteration");
+        let order: Vec<u32> = memo.iter().map(|(k, _)| k.kernel.0).collect();
+        assert_eq!(order, vec![0, 1], "deterministic key-ordered iteration");
 
         // Shape signature: contents don't matter, sizes and scalars do.
         let s1 = LaunchKey::arg_shape(&[
@@ -301,6 +369,65 @@ mod tests {
         ]);
         assert_eq!(s1, s2);
         assert_ne!(s1, s3);
+    }
+
+    #[test]
+    fn memo_entry_cost_is_bit_identical_to_a_fresh_estimate() {
+        use crate::stats::{SiteKey, SiteStats};
+        let h = standard_hierarchy();
+        let mut stats = KernelStats {
+            total_threads: 4096.0,
+            groups: 16.0,
+            issue_cycles: 1.0e5 / 3.0,
+            flops: 8192.0,
+            global_bytes: 1.0e6 / 7.0,
+            ideal_global_bytes: 1.0e5,
+            ..KernelStats::default()
+        };
+        stats.sites.insert(
+            SiteKey {
+                line: 2,
+                array: "a".into(),
+                is_store: false,
+            },
+            SiteStats {
+                executions: 128.0,
+                ideal_bytes: 16384.0,
+                transaction_bytes: 20000.0,
+                broadcasts: 0.0,
+            },
+        );
+        let mut memo = LaunchMemo::new();
+        let key = LaunchKey {
+            kernel: KernelId(0),
+            level: LevelId(0),
+            group_size: 256,
+            warp_width: 32,
+            shape: vec![4096],
+        };
+        memo.insert(key.clone(), stats.clone());
+        // Interleave devices and scales so every call after the first per
+        // (device, scale) is served from the entry.
+        for _ in 0..2 {
+            for kind in [DeviceKind::Gtx480, DeviceKind::K20, DeviceKind::XeonPhi] {
+                let device = kind.level(&h);
+                let params = h.device_params(device).unwrap();
+                let class = DeviceClass::of(&h, device);
+                for extra_scale in [1.0, 3.7, 0.25] {
+                    let mut scaled = stats.clone();
+                    scaled.scale(extra_scale);
+                    let fresh = estimate_time(&scaled, &params, class).total_s;
+                    let entry = memo.lookup(&key).unwrap();
+                    let memoized = entry.total_s(device, &params, class, extra_scale);
+                    assert_eq!(
+                        memoized.to_bits(),
+                        fresh.to_bits(),
+                        "{kind} × {extra_scale}"
+                    );
+                }
+            }
+        }
+        assert_eq!(memo.peek(&key).unwrap().issue_cycles, stats.issue_cycles);
     }
 
     #[test]

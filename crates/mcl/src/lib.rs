@@ -39,7 +39,7 @@ pub use check::{check, CheckError, CheckedKernel};
 pub use cost::{estimate_time, CostBreakdown, DeviceClass};
 pub use fmt::{expr_to_string, kernel_to_string};
 pub use interp::{execute, ExecError, ExecOptions, ExecResult, Sampling};
-pub use launch::{LaunchConfig, LaunchKey, LaunchMemo};
+pub use launch::{KernelId, LaunchConfig, LaunchKey, LaunchMemo, MemoEntry};
 pub use parse::{parse, ParseError};
 pub use stats::KernelStats;
 pub use translate::translate_to;

@@ -50,6 +50,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
     let mut p = Parser {
+        text: s,
         bytes: s.as_bytes(),
         pos: 0,
     };
@@ -175,6 +176,9 @@ fn write_content(out: &mut String, c: &Content, indent: Option<usize>, depth: us
 // Parser.
 
 struct Parser<'a> {
+    /// The input, valid UTF-8 by construction (`from_slice` validates it
+    /// once up front); `bytes` is the same text.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -347,13 +351,15 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| Error::new("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote
+                    // or escape in one step. Both delimiters are ASCII, so
+                    // the run ends on a character boundary of the text.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -420,5 +426,39 @@ mod tests {
         assert!(from_str::<u64>("12 34").is_err());
         assert!(from_str::<u64>("{").is_err());
         assert!(from_str::<String>("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn multibyte_and_escapes_roundtrip() {
+        let v = "naïve ∑ 😀 \"q\" \\ tab\t nl\n ctl\u{1} é".to_string();
+        let s = to_string(&v).unwrap();
+        assert_eq!(from_str::<String>(&s).unwrap(), v);
+        assert_eq!(from_slice::<String>(s.as_bytes()).unwrap(), v);
+        // Escapes next to multibyte text, including a \u escape.
+        let back: String = from_str("\"é\\u00e9\\n😀\"").unwrap();
+        assert_eq!(back, "éé\n😀");
+    }
+
+    #[test]
+    fn from_slice_rejects_invalid_utf8() {
+        let bytes = b"\"ab\xff\xfecd\"".to_vec();
+        let err = from_slice::<String>(&bytes).unwrap_err();
+        let expected = std::str::from_utf8(&bytes).unwrap_err().to_string();
+        assert_eq!(err.to_string(), expected);
+        // A truncated multibyte sequence at the end is rejected too.
+        assert!(from_slice::<String>(b"\"\xe2\x88").is_err());
+    }
+
+    #[test]
+    fn megabyte_string_parses_in_linear_time() {
+        // One ~1.3 MB literal: a per-character rescan of the remaining input
+        // would take minutes; a linear scan takes milliseconds.
+        let body = "ab∑".repeat(1 << 18);
+        let json = format!("\"{body}\"");
+        let start = std::time::Instant::now();
+        let back: String = from_slice(json.as_bytes()).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back, body);
+        assert!(took.as_secs_f64() < 0.5, "1.3 MB string took {took:?}");
     }
 }
