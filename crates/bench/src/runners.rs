@@ -10,6 +10,7 @@
 //! job creation because it needs to create 8 times more jobs to keep one
 //! node busy" (Sec. V-B).
 
+use cashmere::{KernelCall, KernelRegistry};
 use cashmere_apps::kmeans::{KmeansApp, KmeansProblem};
 use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
 use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
@@ -17,7 +18,7 @@ use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_hwdesc::DeviceKind;
-use cashmere_mcl::interp::Sampling;
+use cashmere_mcl::Sampling;
 use serde::{Deserialize, Serialize};
 
 /// The four applications (Table II order).
@@ -209,9 +210,28 @@ pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f
     let _prof = cashmere_des::obs::prof::scope("kernel::measure");
     let h = cashmere_hwdesc::standard_hierarchy();
     let dev = SimDevice::new(&h, device.level(&h)).ok()?;
-    let job = (0u64, node_grain(app) / DEVICE_JOBS);
+    let (reg, call, flops) = fig6_launch(app, set);
+    let ck = reg.select(&call.kernel, dev.level)?;
+    let run = dev
+        .run_kernel(
+            &h,
+            ck,
+            call.args,
+            ExecMode::Sampled {
+                sampling: Sampling::default(),
+                extra_scale: call.extra_scale,
+            },
+        )
+        .ok()?;
+    Some(flops / run.cost.total_s / 1e9)
+}
 
-    let (reg, call, flops) = match app {
+/// The launch Fig. 6 measures for `app`: the app's kernel registry for
+/// `set`, the kernel call of one representative device job of the
+/// paper-scale problem, and that job's flop count.
+fn fig6_launch(app: AppId, set: KernelSet) -> (KernelRegistry, KernelCall, f64) {
+    let job = (0u64, node_grain(app) / DEVICE_JOBS);
+    match app {
         AppId::Raytracer => {
             let pr = RaytracerProblem::paper();
             let a = RaytracerApp::new(pr, AppMode::Phantom, node_grain(app), DEVICE_JOBS);
@@ -251,27 +271,13 @@ pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f
                 pr.job_flops(job.1),
             )
         }
-    };
-
-    let kernel_name = call.kernel.clone();
-    let ck = reg.select(&kernel_name, dev.level)?;
-    let run = dev
-        .run_kernel(
-            &h,
-            ck,
-            call.args,
-            ExecMode::Sampled {
-                sampling: Sampling::default(),
-                extra_scale: call.extra_scale,
-            },
-        )
-        .ok()?;
-    Some(flops / run.cost.total_s / 1e9)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cashmere_mcl::{interp, KernelStats, LaunchConfig};
 
     #[test]
     fn app_and_series_parse() {
@@ -300,6 +306,71 @@ mod tests {
             serde_json::from_str::<Series>(r#""satin""#).unwrap(),
             Series::Satin
         );
+    }
+
+    /// Every `f64` counter of `s`, per-site records included, as raw bits.
+    fn counter_bits(s: &KernelStats) -> Vec<u64> {
+        let sites = s.sites.values().flat_map(|x| {
+            [
+                x.executions,
+                x.ideal_bytes,
+                x.transaction_bytes,
+                x.broadcasts,
+            ]
+        });
+        [
+            s.total_threads,
+            s.raw_lanes,
+            s.groups,
+            s.issue_cycles,
+            s.flops,
+            s.global_bytes,
+            s.ideal_global_bytes,
+            s.local_bytes,
+            s.branch_events,
+            s.divergent_branches,
+            s.issue_slots,
+            s.active_slots,
+            s.barriers,
+        ]
+        .into_iter()
+        .chain(sites)
+        .map(f64::to_bits)
+        .collect()
+    }
+
+    /// The VM reproduces the reference tree walker bit for bit on every
+    /// sampled launch Fig. 6 measures: 4 apps × 2 kernel sets × 7 devices.
+    #[test]
+    fn fig6_corpus_is_bit_identical_on_vm_and_tree_walker() {
+        let h = cashmere_hwdesc::standard_hierarchy();
+        for app in AppId::ALL {
+            for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
+                let (reg, call, _) = fig6_launch(app, set);
+                for dev in DeviceKind::ALL {
+                    let what = format!("{} {set:?} on {}", app.name(), dev.level_name());
+                    let level = dev.level(&h);
+                    let ck = reg.select(&call.kernel, level).expect(&what);
+                    let opts =
+                        LaunchConfig::for_device(ck, &h, level).exec_sampled(Sampling::default());
+                    let units: Vec<String> = h
+                        .effective_params(ck.level)
+                        .par_units
+                        .iter()
+                        .map(|p| p.name.clone())
+                        .collect();
+                    let tree = interp::execute(ck, call.args.clone(), &units, &opts).expect(&what);
+                    let vm =
+                        cashmere_mcl::execute(ck, call.args.clone(), &units, &opts).expect(&what);
+                    assert_eq!(
+                        format!("{:?}", tree.stats),
+                        format!("{:?}", vm.stats),
+                        "{what}"
+                    );
+                    assert_eq!(counter_bits(&tree.stats), counter_bits(&vm.stats), "{what}");
+                }
+            }
+        }
     }
 
     #[test]

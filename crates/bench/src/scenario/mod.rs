@@ -42,7 +42,6 @@ use cashmere_des::fault::FaultPlan;
 use cashmere_des::obs::{prof, PerturbTarget};
 use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
-use cashmere_mcl::InterpEngine;
 use cashmere_netsim::NetConfig;
 use cashmere_satin::{ClusterApp, ClusterSim, LeafRuntime, RunReport, SimConfig, StealKind};
 use serde::{Content, DeError, Deserialize, Serialize};
@@ -454,11 +453,6 @@ pub struct Scenario {
     /// and steal-victim selection (uniform-random default). Accepts the
     /// legacy bare-string form for placement-only specs.
     pub policy: PolicySpec,
-    /// Kernel interpreter engine (tree-walker or register VM). Both produce
-    /// bit-identical results — this is recorded so provenance captures which
-    /// engine executed the run, and overridable via `--interp` like
-    /// `--policy`.
-    pub interp: InterpEngine,
     pub cores_per_node: usize,
     /// Concurrent node-level leaves per node; `None` resolves to the series
     /// default (Satin: one per core, Cashmere: 2 so transfers of one job
@@ -488,7 +482,7 @@ pub struct Scenario {
 }
 
 /// Field names of the JSON form, in canonical (declaration) order.
-const SCENARIO_FIELDS: [&str; 22] = [
+const SCENARIO_FIELDS: [&str; 21] = [
     "name",
     "app",
     "series",
@@ -498,7 +492,6 @@ const SCENARIO_FIELDS: [&str; 22] = [
     "device_jobs",
     "seed",
     "policy",
-    "interp",
     "cores_per_node",
     "leaf_slots",
     "job_overhead",
@@ -525,7 +518,6 @@ impl Serialize for Scenario {
             (skey("device_jobs"), self.device_jobs.to_content()),
             (skey("seed"), self.seed.to_content()),
             (skey("policy"), self.policy.to_content()),
-            (skey("interp"), self.interp.to_content()),
             (skey("cores_per_node"), self.cores_per_node.to_content()),
             (skey("leaf_slots"), self.leaf_slots.to_content()),
             (skey("job_overhead"), self.job_overhead.to_content()),
@@ -559,7 +551,6 @@ impl Deserialize for Scenario {
             device_jobs: opt_field(m, "device_jobs")?.unwrap_or_else(default_device_jobs),
             seed: opt_field(m, "seed")?.unwrap_or_else(default_seed),
             policy: opt_field(m, "policy")?.unwrap_or_default(),
-            interp: opt_field(m, "interp")?.unwrap_or_default(),
             cores_per_node: opt_field(m, "cores_per_node")?.unwrap_or_else(default_cores),
             leaf_slots: opt_field(m, "leaf_slots")?,
             job_overhead: opt_field(m, "job_overhead")?.unwrap_or_else(default_job_overhead),
@@ -595,7 +586,6 @@ impl Scenario {
             device_jobs: default_device_jobs(),
             seed: default_seed(),
             policy: PolicySpec::default(),
-            interp: InterpEngine::default(),
             cores_per_node: default_cores(),
             leaf_slots: None,
             job_overhead: default_job_overhead(),
@@ -652,11 +642,6 @@ impl Scenario {
     /// Set the steal-victim policy (the placement policy is untouched).
     pub fn with_steal(mut self, steal: StealKind) -> Scenario {
         self.policy.steal = steal;
-        self
-    }
-
-    pub fn with_interp(mut self, interp: InterpEngine) -> Scenario {
-        self.interp = interp;
         self
     }
 
@@ -1053,10 +1038,6 @@ fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
 /// provenance block of a report re-runnable byte-for-byte at any `--jobs`.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
     let _prof = prof::scope("scenario::run");
-    // Both engines are bit-identical (CI proves it), so setting the
-    // process-wide default per run cannot change any outcome — it only
-    // selects which interpreter the wall time goes to.
-    cashmere_mcl::set_default_engine(sc.interp);
     let observe = sc.observe();
     let cfg = sc.sim_config();
     let rt_cfg = sc.runtime_config();
@@ -1446,6 +1427,18 @@ mod tests {
             r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]],"sede":7}"#,
         )
         .is_err());
+        // Specs from before the kernel-engine switch was removed.
+        let err = Scenario::from_json(
+            r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]],"interp":"vm"}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("unknown field `interp`"), "{err}");
+        // A repeated key is an error, not last-one-wins.
+        let err = Scenario::from_json(
+            r#"{"name":"t","app":"kmeans","series":"cashmere-opt","nodes":[["gtx480"]],"seed":1,"seed":2}"#,
+        )
+        .unwrap_err();
+        assert!(err.contains("duplicate key `seed`"), "{err}");
     }
 
     #[test]

@@ -18,10 +18,10 @@
 
 use cashmere_des::obs::prof;
 use cashmere_hwdesc::{Hierarchy, LevelId};
-use cashmere_mcl::interp::Sampling;
 use cashmere_mcl::launch::{LaunchConfig, LaunchKey, LaunchMemo, MemoEntry};
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
+use cashmere_mcl::Sampling;
 use cashmere_mcl::{compile, CheckError, CheckedKernel};
 use std::collections::HashMap;
 

@@ -8,12 +8,12 @@ use cashmere_des::SimTime;
 use cashmere_hwdesc::params::ResolvedParams;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::cost::{estimate_time, CostBreakdown, DeviceClass};
-use cashmere_mcl::interp::{ExecError, ExecOptions, Sampling};
 use cashmere_mcl::launch::LaunchConfig;
 use cashmere_mcl::stats::KernelStats;
 use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::vm::{default_engine, execute_with_engine};
+use cashmere_mcl::vm;
 use cashmere_mcl::CheckedKernel;
+use cashmere_mcl::{ExecError, ExecOptions, Sampling};
 
 /// Device global-memory capacities in GiB (published card specs).
 fn memory_gib(level_name: &str) -> u64 {
@@ -191,7 +191,7 @@ impl SimDevice {
             .iter()
             .map(|p| p.name.clone())
             .collect();
-        let result = execute_with_engine(default_engine(), ck, args, &units, &opts)?;
+        let result = vm::execute(ck, args, &units, &opts)?;
         let mut stats = result.stats;
         if let ExecMode::Sampled { extra_scale, .. } = mode {
             if extra_scale != 1.0 {

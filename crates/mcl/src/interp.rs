@@ -1,4 +1,6 @@
-//! Warp-synchronous (SIMT) interpreter for MCPL kernels.
+//! Warp-synchronous (SIMT) tree-walking interpreter for MCPL kernels — the
+//! reference semantics. Launches run on the register VM ([`crate::vm`]);
+//! this interpreter is what tests compare the VM against, bit for bit.
 //!
 //! The interpreter executes a kernel the way a many-core device would:
 //! the *innermost* thread-level `foreach` is vectorized — all lanes of a

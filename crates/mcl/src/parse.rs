@@ -338,9 +338,17 @@ fn lex(src: &str) -> Result<Vec<Lexed>, ParseError> {
     Ok(out)
 }
 
+/// Deepest nesting the parser accepts: blocks, `else if` chains,
+/// parenthesized sub-expressions and expression-tree height alike. Deeper
+/// input is a [`ParseError`] rather than a stack overflow, here or in the
+/// passes that later walk the tree recursively.
+const MAX_DEPTH: usize = 256;
+
 struct Parser {
     toks: Vec<Lexed>,
     pos: usize,
+    /// Nested constructs currently being parsed.
+    depth: usize,
 }
 
 impl Parser {
@@ -362,6 +370,33 @@ impl Parser {
         ParseError {
             line: self.line(),
             message: msg.into(),
+        }
+    }
+
+    fn too_deep(&self) -> ParseError {
+        self.err(format!("nesting deeper than {MAX_DEPTH}"))
+    }
+
+    /// Run `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Parser) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Height of an expression node whose tallest child is `child` high.
+    fn node_height(&self, child: usize) -> Result<usize, ParseError> {
+        if child >= MAX_DEPTH {
+            Err(self.too_deep())
+        } else {
+            Ok(child + 1)
         }
     }
 
@@ -463,10 +498,13 @@ impl Parser {
 
     fn block(&mut self) -> Result<Vec<Stmt>, ParseError> {
         self.expect(Tok::LBrace)?;
-        let mut stmts = Vec::new();
-        while self.peek() != Some(&Tok::RBrace) {
-            stmts.push(self.stmt()?);
-        }
+        let stmts = self.nested(|p| {
+            let mut stmts = Vec::new();
+            while p.peek() != Some(&Tok::RBrace) {
+                stmts.push(p.stmt()?);
+            }
+            Ok(stmts)
+        })?;
         self.expect(Tok::RBrace)?;
         Ok(stmts)
     }
@@ -586,7 +624,7 @@ impl Parser {
                 self.next()?;
                 if let Some(Tok::Ident(id2)) = self.peek() {
                     if id2 == "if" {
-                        vec![self.if_stmt()?]
+                        vec![self.nested(Self::if_stmt)?]
                     } else {
                         self.block()?
                     }
@@ -677,13 +715,20 @@ impl Parser {
         ))
     }
 
-    // Pratt-style precedence climbing.
     fn expr(&mut self) -> Result<Expr, ParseError> {
-        self.bin_expr(0)
+        self.sub_expr().map(|(e, _)| e)
     }
 
-    fn bin_expr(&mut self, min_prec: u8) -> Result<Expr, ParseError> {
-        let mut lhs = self.unary()?;
+    // Expression productions also return the tree height of what they
+    // built: an operator chain is folded by a loop, not by recursion, so
+    // only its height bounds how deep the tree gets.
+    fn sub_expr(&mut self) -> Result<(Expr, usize), ParseError> {
+        self.nested(|p| p.bin_expr(0))
+    }
+
+    // Pratt-style precedence climbing.
+    fn bin_expr(&mut self, min_prec: u8) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut height) = self.unary()?;
         loop {
             let (op, prec) = match self.peek() {
                 Some(Tok::OrOr) => (BinOp::Or, 1),
@@ -710,39 +755,28 @@ impl Parser {
                 break;
             }
             self.next()?;
-            let rhs = self.bin_expr(prec + 1)?;
+            let (rhs, rhs_height) = self.bin_expr(prec + 1)?;
+            height = self.node_height(height.max(rhs_height))?;
             lhs = Expr::Binary {
                 op,
                 lhs: Box::new(lhs),
                 rhs: Box::new(rhs),
             };
         }
-        Ok(lhs)
+        Ok((lhs, height))
     }
 
-    fn unary(&mut self) -> Result<Expr, ParseError> {
-        match self.peek() {
-            Some(Tok::Minus) => {
-                self.next()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Neg,
-                    operand: Box::new(self.unary()?),
-                })
-            }
-            Some(Tok::Bang) => {
-                self.next()?;
-                Ok(Expr::Unary {
-                    op: UnOp::Not,
-                    operand: Box::new(self.unary()?),
-                })
-            }
-            Some(Tok::Tilde) => {
-                self.next()?;
-                Ok(Expr::Unary {
-                    op: UnOp::BitNot,
-                    operand: Box::new(self.unary()?),
-                })
-            }
+    /// A prefix operator's operand, with the height of the node over it.
+    fn operand(&mut self) -> Result<(Box<Expr>, usize), ParseError> {
+        let (e, h) = self.nested(Self::unary)?;
+        Ok((Box::new(e), self.node_height(h)?))
+    }
+
+    fn unary(&mut self) -> Result<(Expr, usize), ParseError> {
+        let op = match self.peek() {
+            Some(Tok::Minus) => UnOp::Neg,
+            Some(Tok::Bang) => UnOp::Not,
+            Some(Tok::Tilde) => UnOp::BitNot,
             // cast: "(" ("int"|"float") ")" unary
             Some(Tok::LParen) if matches!(self.peek2(), Some(Tok::Ident(s)) if s=="int"||s=="float") =>
             {
@@ -752,52 +786,62 @@ impl Parser {
                 self.next()?;
                 let to = self.elem_ty()?;
                 self.expect(Tok::RParen)?;
-                Ok(Expr::Cast {
-                    to,
-                    operand: Box::new(self.unary()?),
-                })
+                let (operand, height) = self.operand()?;
+                return Ok((Expr::Cast { to, operand }, height));
             }
-            _ => self.postfix(),
-        }
+            _ => return self.postfix(),
+        };
+        self.next()?;
+        let (operand, height) = self.operand()?;
+        Ok((Expr::Unary { op, operand }, height))
     }
 
-    fn postfix(&mut self) -> Result<Expr, ParseError> {
+    /// A non-empty comma-separated expression list, with the height of the
+    /// node over it.
+    fn expr_list(&mut self) -> Result<(Vec<Expr>, usize), ParseError> {
+        let mut items = Vec::new();
+        let mut height = 0;
+        loop {
+            let (e, h) = self.sub_expr()?;
+            items.push(e);
+            height = height.max(h);
+            if !self.eat(&Tok::Comma) {
+                break;
+            }
+        }
+        Ok((items, self.node_height(height)?))
+    }
+
+    fn postfix(&mut self) -> Result<(Expr, usize), ParseError> {
         match self.next()? {
-            Tok::Int(v) => Ok(Expr::IntLit(v)),
-            Tok::Float(v) => Ok(Expr::FloatLit(v)),
+            Tok::Int(v) => Ok((Expr::IntLit(v), 1)),
+            Tok::Float(v) => Ok((Expr::FloatLit(v), 1)),
             Tok::LParen => {
-                let e = self.expr()?;
+                let e = self.sub_expr()?;
                 self.expect(Tok::RParen)?;
                 Ok(e)
             }
             Tok::Ident(name) => {
                 if self.eat(&Tok::LParen) {
-                    let mut args = Vec::new();
-                    if self.peek() != Some(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            if !self.eat(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                    }
+                    let (args, height) = if self.peek() == Some(&Tok::RParen) {
+                        (Vec::new(), 1)
+                    } else {
+                        self.expr_list()?
+                    };
                     self.expect(Tok::RParen)?;
-                    Ok(Expr::Call { name, args })
+                    Ok((Expr::Call { name, args }, height))
                 } else if self.eat(&Tok::LBracket) {
-                    let mut indices = Vec::new();
-                    loop {
-                        indices.push(self.expr()?);
-                        if !self.eat(&Tok::Comma) {
-                            break;
-                        }
-                    }
+                    let (indices, height) = self.expr_list()?;
                     self.expect(Tok::RBracket)?;
-                    Ok(Expr::Index {
-                        array: name,
-                        indices,
-                    })
+                    Ok((
+                        Expr::Index {
+                            array: name,
+                            indices,
+                        },
+                        height,
+                    ))
                 } else {
-                    Ok(Expr::Var(name))
+                    Ok((Expr::Var(name), 1))
                 }
             }
             other => Err(self.err(format!("expected expression, got {other:?}"))),
@@ -808,7 +852,12 @@ impl Parser {
 /// Parse one MCPL kernel from source text.
 pub fn parse(src: &str) -> Result<Kernel, ParseError> {
     let toks = lex(src)?;
-    Parser { toks, pos: 0 }.kernel()
+    Parser {
+        toks,
+        pos: 0,
+        depth: 0,
+    }
+    .kernel()
 }
 
 #[cfg(test)]
@@ -993,6 +1042,42 @@ gpu void t(int n, float[n] a) {
     #[test]
     fn error_unterminated_comment() {
         assert!(parse("perfect void t() { /* oops ").is_err());
+    }
+
+    /// A kernel whose single statement assigns `expr` to `a[0]`.
+    fn with_expr(expr: &str) -> String {
+        format!("perfect void t(int n, float[n] a) {{ a[0] = {expr}; }}")
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let n = 200_000;
+        let parens = with_expr(&format!("{}1{}", "(".repeat(n), ")".repeat(n)));
+        let err = parse(&parens).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        // Unary prefixes recurse; long operator chains and `else if`
+        // chains build deep trees without recursing.
+        assert!(parse(&with_expr(&format!("{}1", "-".repeat(n)))).is_err());
+        assert!(parse(&with_expr(&vec!["1"; n].join(" + "))).is_err());
+        assert!(parse(&with_expr(&format!("{}1{}", "f(".repeat(n), ")".repeat(n)))).is_err());
+        let blocks = format!(
+            "perfect void t(int n) {{ {} }}",
+            "if (n > 0) {".repeat(n) + &"}".repeat(n)
+        );
+        assert!(parse(&blocks).is_err());
+        let chain = format!(
+            "perfect void t(int n, float[n] a) {{ if (n > 0) {{ }}{} }}",
+            " else if (n > 0) { }".repeat(n)
+        );
+        assert!(parse(&chain).is_err());
+    }
+
+    #[test]
+    fn nesting_below_the_limit_parses() {
+        let depth = MAX_DEPTH - 8;
+        let parens = format!("{}1{}", "(".repeat(depth), ")".repeat(depth));
+        assert!(parse(&with_expr(&parens)).is_ok());
+        assert!(parse(&with_expr(&vec!["1"; depth].join(" + "))).is_ok());
     }
 
     #[test]

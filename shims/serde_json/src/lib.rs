@@ -49,18 +49,7 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 }
 
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T> {
-    let mut p = Parser {
-        text: s,
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let content = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
-    }
-    Ok(T::from_content(&content)?)
+    Ok(T::from_content(&parse(s)?)?)
 }
 
 pub fn from_slice<T: Deserialize>(bytes: &[u8]) -> Result<T> {
@@ -175,12 +164,42 @@ fn write_content(out: &mut String, c: &Content, indent: Option<usize>, depth: us
 // ---------------------------------------------------------------------------
 // Parser.
 
+/// Parse one JSON document into the serde shim's [`Content`] tree.
+fn parse(s: &str) -> Result<Content> {
+    let mut p = Parser {
+        text: s,
+        bytes: s.as_bytes(),
+        pos: 0,
+        depth: 0,
+    };
+    p.skip_ws();
+    let content = p.value()?;
+    p.skip_ws();
+    if p.pos != p.bytes.len() {
+        return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
+    }
+    Ok(content)
+}
+
+/// Deepest array/object nesting the parser accepts (the limit real
+/// `serde_json` uses). Deeper input is an error, not a stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// A key that appears more than once among an object's entries.
+fn duplicate_key(entries: &[(Content, Content)]) -> Option<&str> {
+    let mut keys: Vec<&str> = entries.iter().filter_map(|(k, _)| k.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
+}
+
 struct Parser<'a> {
     /// The input, valid UTF-8 by construction (`from_slice` validates it
     /// once up front); `bytes` is the same text.
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -245,68 +264,91 @@ impl<'a> Parser<'a> {
                 }
             }
             Some(b'"') => self.string().map(Content::Str),
-            Some(b'[') => {
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error::new(format!(
+                        "recursion limit exceeded: nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
                 self.pos += 1;
-                let mut items = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b']') {
+                self.depth += 1;
+                let v = if open == b'[' { self.seq() } else { self.map() };
+                self.depth -= 1;
+                v
+            }
+            Some(_) => self.number(),
+        }
+    }
+
+    /// The rest of an array whose `[` was consumed.
+    fn seq(&mut self) -> Result<Content> {
+        let mut items = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b']') {
+            self.pos += 1;
+            return Ok(Content::Seq(items));
+        }
+        loop {
+            items.push(self.value()?);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
+                    self.pos += 1;
+                }
+                Some(b']') => {
                     self.pos += 1;
                     return Ok(Content::Seq(items));
                 }
-                loop {
-                    items.push(self.value()?);
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Content::Seq(items));
-                        }
-                        _ => {
-                            return Err(Error::new(format!(
-                                "expected `,` or `]` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `]` at byte {}",
+                        self.pos
+                    )))
                 }
             }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut entries = Vec::new();
-                self.skip_ws();
-                if self.peek() == Some(b'}') {
+        }
+    }
+
+    /// The rest of an object whose `{` was consumed. A key that appears
+    /// twice is an error: silently keeping one of the values would hide a
+    /// typo'd or conflicting spec.
+    fn map(&mut self) -> Result<Content> {
+        let start = self.pos - 1;
+        let mut entries = Vec::new();
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(Content::Map(entries));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            let val = self.value()?;
+            entries.push((Content::Str(key), val));
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => {
                     self.pos += 1;
+                }
+                Some(b'}') => {
+                    self.pos += 1;
+                    if let Some(key) = duplicate_key(&entries) {
+                        return Err(Error::new(format!(
+                            "duplicate key `{key}` in the object at byte {start}"
+                        )));
+                    }
                     return Ok(Content::Map(entries));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.skip_ws();
-                    self.expect(b':')?;
-                    let val = self.value()?;
-                    entries.push((Content::Str(key), val));
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                        }
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Content::Map(entries));
-                        }
-                        _ => {
-                            return Err(Error::new(format!(
-                                "expected `,` or `}}` at byte {}",
-                                self.pos
-                            )))
-                        }
-                    }
+                _ => {
+                    return Err(Error::new(format!(
+                        "expected `,` or `}}` at byte {}",
+                        self.pos
+                    )))
                 }
             }
-            Some(_) => self.number(),
         }
     }
 
@@ -447,6 +489,29 @@ mod tests {
         assert_eq!(err.to_string(), expected);
         // A truncated multibyte sequence at the end is rejected too.
         assert!(from_slice::<String>(b"\"\xe2\x88").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Unterminated, far deeper than any stack could recurse.
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        let objects = "{\"a\":".repeat(100_000);
+        assert!(parse(&objects).is_err());
+    }
+
+    #[test]
+    fn duplicate_object_keys_are_rejected() {
+        let err = parse(r#"{"a": 1, "b": 2, "a": 3}"#).unwrap_err();
+        assert_eq!(err.to_string(), "duplicate key `a` in the object at byte 0");
+        // Equal keys in different objects are fine.
+        assert!(parse(r#"[{"a": 1}, {"a": 2}]"#).is_ok());
+        // Escapes are resolved before comparing.
+        assert!(parse(r#"{"a": 1, "\u0061": 2}"#).is_err());
     }
 
     #[test]
