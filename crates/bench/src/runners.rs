@@ -277,7 +277,7 @@ fn fig6_launch(app: AppId, set: KernelSet) -> (KernelRegistry, KernelCall, f64) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cashmere_mcl::{interp, KernelStats, LaunchConfig};
+    use cashmere_mcl::{interp, LaunchConfig};
 
     #[test]
     fn app_and_series_parse() {
@@ -308,37 +308,6 @@ mod tests {
         );
     }
 
-    /// Every `f64` counter of `s`, per-site records included, as raw bits.
-    fn counter_bits(s: &KernelStats) -> Vec<u64> {
-        let sites = s.sites.values().flat_map(|x| {
-            [
-                x.executions,
-                x.ideal_bytes,
-                x.transaction_bytes,
-                x.broadcasts,
-            ]
-        });
-        [
-            s.total_threads,
-            s.raw_lanes,
-            s.groups,
-            s.issue_cycles,
-            s.flops,
-            s.global_bytes,
-            s.ideal_global_bytes,
-            s.local_bytes,
-            s.branch_events,
-            s.divergent_branches,
-            s.issue_slots,
-            s.active_slots,
-            s.barriers,
-        ]
-        .into_iter()
-        .chain(sites)
-        .map(f64::to_bits)
-        .collect()
-    }
-
     /// The VM reproduces the reference tree walker bit for bit on every
     /// sampled launch Fig. 6 measures: 4 apps × 2 kernel sets × 7 devices.
     #[test]
@@ -367,7 +336,7 @@ mod tests {
                         format!("{:?}", vm.stats),
                         "{what}"
                     );
-                    assert_eq!(counter_bits(&tree.stats), counter_bits(&vm.stats), "{what}");
+                    assert_eq!(tree.stats.counter_bits(), vm.stats.counter_bits(), "{what}");
                 }
             }
         }

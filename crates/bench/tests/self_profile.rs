@@ -105,12 +105,15 @@ fn profiling_is_observer_pure_at_any_jobs_width() {
     assert_eq!(off, on4, "profiling must not change report bytes (jobs=4)");
 
     // The instrumented layers actually recorded: event dispatch and the
-    // scenario driver at minimum.
+    // scenario driver at minimum. The kernel layer shows as memo lookups:
+    // the unprofiled sweeps above already measured every launch these
+    // scenarios make, so the profiled ones find them in the process-wide
+    // tier and never run the VM (`mcl::execute`).
     assert!(!tree1.is_empty() && !tree4.is_empty());
     let names1 = tree1.collapsed("t");
     assert!(names1.contains("scenario::run"), "{names1}");
     assert!(names1.contains("event::"), "{names1}");
-    assert!(names1.contains("mcl::execute"), "{names1}");
+    assert!(names1.contains("mcl::memo"), "{names1}");
 
     // Merge determinism: identical structure regardless of which worker
     // ran which point when (values differ — they are host wall times).

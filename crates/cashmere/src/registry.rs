@@ -14,16 +14,19 @@
 //! same size (the paper's own observation in Sec. III-B), the registry also
 //! caches interpreter statistics keyed by kernel version, launch geometry
 //! and argument shape, so the cost of sampled interpretation is paid once
-//! per shape instead of once per job.
+//! per shape instead of once per job. Below that per-run memo sits a
+//! process-wide tier for launches on phantom (shape-only) arguments: their
+//! statistics are a pure function of the launch, so each one is
+//! interpreted once per process and every later run reuses it.
 
 use cashmere_des::obs::prof;
 use cashmere_hwdesc::{Hierarchy, LevelId};
 use cashmere_mcl::launch::{LaunchConfig, LaunchKey, LaunchMemo, MemoEntry};
 use cashmere_mcl::stats::KernelStats;
-use cashmere_mcl::value::ArgValue;
-use cashmere_mcl::Sampling;
-use cashmere_mcl::{compile, CheckError, CheckedKernel};
-use std::collections::HashMap;
+use cashmere_mcl::value::{ArgValue, Buffer};
+use cashmere_mcl::{compile, vm, CheckError, CheckedKernel, ExecError, Sampling};
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 pub use cashmere_mcl::launch::KernelId;
 
@@ -60,12 +63,25 @@ impl Launch {
     }
 }
 
+/// One registered kernel version: the checked kernel plus what the
+/// process-wide tier keys its launches by.
+#[derive(Debug)]
+struct Version {
+    ck: CheckedKernel,
+    /// The exact source text. A `CheckedKernel` is a function of its source
+    /// and level alone (see `CheckedKernel`), so (source, level)
+    /// identifies the kernel across registries.
+    source: Arc<str>,
+    /// Parallelism-unit names of the version's level, as the VM gets them.
+    units: Arc<[String]>,
+}
+
 /// One kernel: its versions, ordered by registration, and the launch each
 /// hierarchy level resolves to.
 #[derive(Debug)]
 struct KernelVersions {
     name: String,
-    versions: Vec<CheckedKernel>,
+    versions: Vec<Version>,
     /// Indexed by `LevelId`; `None` where no version applies.
     launches: Vec<Option<Launch>>,
 }
@@ -73,7 +89,7 @@ struct KernelVersions {
 impl KernelVersions {
     /// Re-resolve every level after the version set changed.
     fn resolve(&mut self, id: KernelId, h: &Hierarchy) {
-        let levels: Vec<LevelId> = self.versions.iter().map(|v| v.level).collect();
+        let levels: Vec<LevelId> = self.versions.iter().map(|v| v.ck.level).collect();
         self.launches = (0..h.len())
             .map(|device| {
                 let device = LevelId(device);
@@ -83,11 +99,66 @@ impl KernelVersions {
                     kernel: id,
                     version,
                     level,
-                    config: LaunchConfig::for_device(&self.versions[version], h, device),
+                    config: LaunchConfig::for_device(&self.versions[version].ck, h, device),
                 })
             })
             .collect();
     }
+}
+
+/// Key of the process-wide tier: everything `vm::execute` reads for a
+/// sampled launch on phantom arguments — the kernel (source and level), the
+/// parallelism units, the geometry, the sampling limits and the argument
+/// shape. The map compares whole keys, never a hash of them.
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct PhantomKey {
+    source: Arc<str>,
+    level: LevelId,
+    units: Arc<[String]>,
+    group_size: usize,
+    warp_width: usize,
+    sampling: Sampling,
+    shape: Vec<i64>,
+}
+
+/// Entries the process-wide tier holds at most. Past the cap, inserts stop
+/// and new shapes are interpreted once per run instead (still exact, only
+/// slower). The paper workloads need a few dozen.
+const PHANTOM_ENTRIES: usize = 1024;
+
+/// The process-wide tier: sampled statistics of phantom launches, shared by
+/// every registry (every run and every sweep worker) in the process.
+static PHANTOM_STATS: Mutex<BTreeMap<PhantomKey, KernelStats>> = Mutex::new(BTreeMap::new());
+
+/// Lock the process-wide tier. Entries go in whole, so a map poisoned by a
+/// panicking holder is still consistent and is used as is.
+fn phantom_stats() -> MutexGuard<'static, BTreeMap<PhantomKey, KernelStats>> {
+    PHANTOM_STATS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Shape of an argument list whose arrays are all phantom, tagged so that
+/// two different lists never encode alike: `[0, v]` per int, `[1, bits]`
+/// per float, `[2, rank, dims…]` per float array and `[3, rank, dims…]` per
+/// int array (phantom loads differ by element type). `None` when any array
+/// holds real data, whose values the statistics may depend on.
+fn phantom_shape(args: &[ArgValue]) -> Option<Vec<i64>> {
+    let mut shape = Vec::new();
+    for a in args {
+        match a {
+            ArgValue::Int(v) => shape.extend([0, *v]),
+            ArgValue::Float(v) => shape.extend([1, v.to_bits() as i64]),
+            ArgValue::Array(arr) => {
+                let tag = match arr.data {
+                    Buffer::PhantomF(_) => 2,
+                    Buffer::PhantomI(_) => 3,
+                    Buffer::F(_) | Buffer::I(_) => return None,
+                };
+                shape.extend([tag, arr.rank() as i64]);
+                shape.extend(arr.dims.iter().map(|&d| d as i64));
+            }
+        }
+    }
+    Some(shape)
 }
 
 /// Cache key: kernel identity + geometry + argument shape (the memoization
@@ -106,6 +177,8 @@ pub struct KernelRegistry {
     ids: HashMap<String, KernelId>,
     kernels: Vec<KernelVersions>,
     memo: LaunchMemo,
+    /// Sampled launches this registry interpreted itself.
+    vm_runs: u64,
     pub default_sampling: Sampling,
 }
 
@@ -116,6 +189,7 @@ impl KernelRegistry {
             ids: HashMap::new(),
             kernels: Vec::new(),
             memo: LaunchMemo::new(),
+            vm_runs: 0,
             default_sampling: Sampling::default(),
         }
     }
@@ -147,7 +221,7 @@ impl KernelRegistry {
             }
         };
         let entry = &mut self.kernels[id.0 as usize];
-        if entry.versions.iter().any(|v| v.level == level) {
+        if entry.versions.iter().any(|v| v.ck.level == level) {
             return Err(CheckError {
                 line: 1,
                 message: format!(
@@ -156,7 +230,18 @@ impl KernelRegistry {
                 ),
             });
         }
-        entry.versions.push(ck);
+        let units = self
+            .hierarchy
+            .effective_params(level)
+            .par_units
+            .iter()
+            .map(|u| u.name.clone())
+            .collect();
+        entry.versions.push(Version {
+            ck,
+            source: src.into(),
+            units,
+        });
         entry.resolve(id, &self.hierarchy);
         Ok((name, level))
     }
@@ -185,7 +270,7 @@ impl KernelRegistry {
                 self.kernels[id.0 as usize]
                     .versions
                     .iter()
-                    .map(|v| v.level)
+                    .map(|v| v.ck.level)
                     .collect()
             })
             .unwrap_or_default()
@@ -200,7 +285,7 @@ impl KernelRegistry {
 
     /// The checked kernel version a resolved launch runs.
     pub fn version(&self, launch: &Launch) -> &CheckedKernel {
-        &self.kernels[launch.kernel.0 as usize].versions[launch.version]
+        &self.kernels[launch.kernel.0 as usize].versions[launch.version].ck
     }
 
     /// Most-specific version of `kernel` applicable to `device`
@@ -242,6 +327,53 @@ impl KernelRegistry {
     /// Insert statistics into the memo table and return the new entry.
     pub fn cache_stats(&mut self, key: StatsKey, stats: KernelStats) -> &mut MemoEntry {
         self.memo.insert(key, stats)
+    }
+
+    /// Unscaled statistics of a sampled `launch` on `args`, for a launch
+    /// the per-run memo missed. When every array in `args` is phantom, the
+    /// statistics are a pure function of the [`PhantomKey`], so they come
+    /// from the process-wide tier if any registry in this process already
+    /// measured the launch; otherwise the VM runs and the result is stored
+    /// there. Launches with real data always run the VM.
+    pub fn measure(
+        &mut self,
+        launch: &Launch,
+        args: &[ArgValue],
+    ) -> Result<KernelStats, ExecError> {
+        let version = &self.kernels[launch.kernel.0 as usize].versions[launch.version];
+        let opts = launch.config.exec_sampled(self.default_sampling);
+        let key = phantom_shape(args).map(|shape| PhantomKey {
+            source: Arc::clone(&version.source),
+            level: version.ck.level,
+            units: Arc::clone(&version.units),
+            group_size: opts.group_size,
+            warp_width: opts.simd_width,
+            sampling: self.default_sampling,
+            shape,
+        });
+        if let Some(stats) = key.as_ref().and_then(|k| phantom_stats().get(k).cloned()) {
+            return Ok(stats);
+        }
+        // The lock is not held here: two registries racing on one key both
+        // run the VM and store identical bits.
+        let stats = {
+            let _prof = prof::scope("mcl::execute");
+            vm::execute(&version.ck, args.to_vec(), &version.units, &opts)?.stats
+        };
+        self.vm_runs += 1;
+        if let Some(key) = key {
+            let mut tier = phantom_stats();
+            if tier.len() < PHANTOM_ENTRIES {
+                tier.entry(key).or_insert_with(|| stats.clone());
+            }
+        }
+        Ok(stats)
+    }
+
+    /// Sampled launches this registry ran on the VM: per-run memo misses
+    /// that the process-wide tier could not serve.
+    pub fn vm_runs(&self) -> u64 {
+        self.vm_runs
     }
 
     pub fn cache_len(&self) -> usize {
@@ -410,5 +542,155 @@ mod tests {
         assert!(r.cached_stats(&key).is_some());
         assert_eq!(r.cache_len(), 1);
         assert_eq!((r.cache_hits(), r.cache_misses()), (1, 1));
+    }
+
+    // The process-wide tier is shared by every test in this binary. Each
+    // test below launches a size no other test uses, so its first
+    // registry is the only one that can fill its keys.
+
+    fn phantom_axpy(n: u64) -> Vec<ArgValue> {
+        vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+        ]
+    }
+
+    /// Measure `args` on `device` in `r`; returns the stats and the VM runs
+    /// the call added.
+    fn measure_on(
+        r: &mut KernelRegistry,
+        device: DeviceKind,
+        args: &[ArgValue],
+    ) -> (KernelStats, u64) {
+        let before = r.vm_runs();
+        let launch = r
+            .launch(r.kernel_id("axpy").unwrap(), device.level(r.hierarchy()))
+            .unwrap();
+        let stats = r.measure(&launch, args).unwrap();
+        (stats, r.vm_runs() - before)
+    }
+
+    #[test]
+    fn phantom_tier_serves_later_registries_bit_identically() {
+        let args = phantom_axpy(3001);
+        let mut first = registry();
+        let (measured, runs) = measure_on(&mut first, DeviceKind::Gtx480, &args);
+        assert_eq!(runs, 1, "a new shape runs the VM");
+        let mut second = registry();
+        let (shared, runs) = measure_on(&mut second, DeviceKind::Gtx480, &args);
+        assert_eq!(runs, 0, "the second registry reuses the first's result");
+
+        // Both equal a fresh VM run, bit for bit.
+        let h = second.hierarchy();
+        let launch = second
+            .launch(
+                second.kernel_id("axpy").unwrap(),
+                DeviceKind::Gtx480.level(h),
+            )
+            .unwrap();
+        let ck = second.version(&launch);
+        let units: Vec<String> = h
+            .effective_params(ck.level)
+            .par_units
+            .iter()
+            .map(|u| u.name.clone())
+            .collect();
+        let opts = launch.config.exec_sampled(second.default_sampling);
+        let fresh = vm::execute(ck, args.clone(), &units, &opts).unwrap().stats;
+        for stats in [&measured, &shared] {
+            assert_eq!(stats.counter_bits(), fresh.counter_bits());
+            assert_eq!(format!("{stats:?}"), format!("{fresh:?}"));
+        }
+    }
+
+    #[test]
+    fn phantom_tier_keys_on_source_sampling_and_units() {
+        let args = phantom_axpy(3002);
+        let mut base = registry();
+        assert_eq!(measure_on(&mut base, DeviceKind::Gtx480, &args).1, 1);
+        // The Phi runs the perfect version.
+        assert_eq!(measure_on(&mut base, DeviceKind::XeonPhi, &args).1, 1);
+
+        // Same kernel name and level, different source.
+        let mut other_source = KernelRegistry::new(standard_hierarchy());
+        other_source.register(PERFECT).unwrap();
+        other_source
+            .register(&GPU.replace("2.0 * x[i]", "3.0 * x[i]"))
+            .unwrap();
+        assert_eq!(
+            measure_on(&mut other_source, DeviceKind::Gtx480, &args).1,
+            1
+        );
+
+        // Different sampling limits.
+        let mut other_sampling = registry();
+        other_sampling.default_sampling = Sampling {
+            max_outer_iters: 3,
+            max_chunks: 3,
+        };
+        assert_eq!(
+            measure_on(&mut other_sampling, DeviceKind::Gtx480, &args).1,
+            1
+        );
+
+        // Same source, level and geometry, but the perfect level declares
+        // an extra parallelism unit.
+        let hdl = cashmere_hwdesc::library::STANDARD_HDL.replace(
+            "parallelism { unit threads; }",
+            "parallelism { unit cores; unit threads; }",
+        );
+        let mut other_units = KernelRegistry::new(cashmere_hwdesc::hdl::parse(&hdl).unwrap());
+        other_units.register(PERFECT).unwrap();
+        other_units.register(GPU).unwrap();
+        let phi = |r: &KernelRegistry| {
+            r.launch(
+                r.kernel_id("axpy").unwrap(),
+                DeviceKind::XeonPhi.level(r.hierarchy()),
+            )
+            .unwrap()
+        };
+        let (a, b) = (phi(&base), phi(&other_units));
+        assert_eq!((a.level, a.config), (b.level, b.config));
+        assert_eq!(
+            measure_on(&mut other_units, DeviceKind::XeonPhi, &args).1,
+            1
+        );
+
+        // A registry that matches on every field is served.
+        let mut same = registry();
+        assert_eq!(measure_on(&mut same, DeviceKind::Gtx480, &args).1, 0);
+        assert_eq!(measure_on(&mut same, DeviceKind::XeonPhi, &args).1, 0);
+    }
+
+    #[test]
+    fn real_arrays_bypass_the_phantom_tier() {
+        let n = 3003;
+        let args = vec![
+            ArgValue::Int(n as i64),
+            ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[n])),
+            ArgValue::Array(ArrayArg::float(&[n], vec![1.0; n as usize])),
+        ];
+        for _ in 0..2 {
+            let mut r = registry();
+            assert_eq!(measure_on(&mut r, DeviceKind::Gtx480, &args).1, 1);
+        }
+        assert_eq!(phantom_shape(&args), None);
+        assert!(phantom_shape(&phantom_axpy(n)).is_some());
+    }
+
+    #[test]
+    fn phantom_shape_tags_every_argument_kind() {
+        // An int pair and a rank-1 array never encode alike, and the
+        // element type of a phantom array is part of its shape.
+        let ints = [ArgValue::Int(2), ArgValue::Int(1), ArgValue::Int(5)];
+        let array = [ArgValue::Array(ArrayArg::phantom(ElemTy::Float, &[5]))];
+        assert_ne!(phantom_shape(&ints), phantom_shape(&array));
+        let int_array = [ArgValue::Array(ArrayArg::phantom(ElemTy::Int, &[5]))];
+        assert_ne!(phantom_shape(&array), phantom_shape(&int_array));
+        assert_ne!(
+            phantom_shape(&[ArgValue::Int(1)]),
+            phantom_shape(&[ArgValue::Float(f64::from_bits(1))])
+        );
     }
 }

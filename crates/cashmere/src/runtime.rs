@@ -645,16 +645,15 @@ impl CashmereLeafRuntime {
                     )
                 }
                 None => {
+                    // Counted per run even when the process-wide tier
+                    // serves it: the report does not depend on which run
+                    // measured a shape first.
                     report.kernel_memo_misses += 1;
-                    let mode = ExecMode::Sampled {
-                        sampling: self.registry.default_sampling,
-                        extra_scale: 1.0,
-                    };
-                    let ck = self.registry.version(&launch);
-                    let run = device
-                        .run_kernel(self.registry.hierarchy(), ck, call.args.clone(), mode)
+                    let stats = self
+                        .registry
+                        .measure(&launch, &call.args)
                         .unwrap_or_else(|e| panic!("kernel `{}` failed: {e}", call.kernel));
-                    self.registry.cache_stats(key, run.stats).total_s(
+                    self.registry.cache_stats(key, stats).total_s(
                         device.level,
                         &device.params,
                         launch.config.class,

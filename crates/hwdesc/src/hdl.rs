@@ -221,6 +221,18 @@ impl Parser {
         }
     }
 
+    /// A unit's `max`: a positive integer that fits in a `u32`.
+    fn expect_max(&mut self) -> Result<u64, HdlError> {
+        let v = self.expect_number()?;
+        if v >= 1.0 && v <= f64::from(u32::MAX) && v.fract() == 0.0 {
+            Ok(v as u64)
+        } else {
+            Err(self.err(format!(
+                "unit `max` must be a positive integer below 2^32, got {v}"
+            )))
+        }
+    }
+
     fn expect_tok(&mut self, want: Tok) -> Result<(), HdlError> {
         let got = self.next()?;
         if got == want {
@@ -258,6 +270,8 @@ impl Parser {
         Ok(h)
     }
 
+    /// One level's `{ section… }`. Sections hold flat statements, so the
+    /// parser never recurses and nesting depth cannot exhaust the stack.
     fn parse_block(&mut self) -> Result<HwParams, HdlError> {
         self.expect_tok(Tok::LBrace)?;
         let mut params = HwParams::default();
@@ -281,7 +295,8 @@ impl Parser {
                         }
                     }
                 }
-                _ => return Err(self.err("expected section or `}`")),
+                Some(_) => return Err(self.err("expected section or `}`")),
+                None => return Err(self.err("unexpected end of input in a block")),
             }
         }
     }
@@ -295,7 +310,7 @@ impl Parser {
             if let Some(Tok::Ident(id)) = self.peek() {
                 if id == "max" {
                     self.next()?;
-                    max = Some(self.expect_number()? as u64);
+                    max = Some(self.expect_max()?);
                 }
             }
             self.expect_tok(Tok::Semi)?;
@@ -474,6 +489,43 @@ mod tests {
     #[test]
     fn error_empty_source() {
         assert!(parse("  // nothing\n").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "{".repeat(100_000);
+        for src in [
+            format!("hardware a {deep}"),
+            format!("hardware a {{ parallelism {deep}"),
+            format!("hardware a {{ device {deep}"),
+            deep,
+        ] {
+            assert!(parse(&src).is_err());
+        }
+    }
+
+    #[test]
+    fn error_unterminated_block() {
+        for src in [
+            "hardware a {",
+            "hardware a { parallelism { unit threads;",
+            "hardware a { memory { space global latency_cycles 4",
+            "hardware a { device { clock_ghz 1.0; }",
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(err.message.contains("end of input"), "{src}: {err}");
+        }
+    }
+
+    #[test]
+    fn error_negative_or_huge_max() {
+        for max in ["-4", "0", "2.5", "4294967296", "1e300", "1e999"] {
+            let src = format!("hardware a {{ parallelism {{ unit threads max {max}; }} }}");
+            assert!(parse(&src).is_err(), "max {max}");
+        }
+        let h = parse("hardware a { parallelism { unit threads max 4294967295; } }").unwrap();
+        let units = h.effective_params(h.id("a").unwrap()).par_units;
+        assert_eq!(units[0].max, Some(u64::from(u32::MAX)));
     }
 
     #[test]

@@ -52,6 +52,12 @@ impl Ty {
 }
 
 /// A checked kernel, ready for interpretation/translation.
+///
+/// The checker only validates: every field is the parsed source or derived
+/// from it, except `level`, the id the kernel's level name resolves to.
+/// A `CheckedKernel` is therefore a function of (source, level) alone —
+/// what lets the kernel registry share sampled statistics across
+/// registries keyed by source text and level.
 #[derive(Debug, Clone)]
 pub struct CheckedKernel {
     pub kernel: Kernel,
@@ -650,6 +656,35 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.message.contains("already declared"), "{err}");
+    }
+
+    #[test]
+    fn checked_kernel_depends_only_on_source_and_level() {
+        let src = "gpu void t(int n, float[n] a) {
+  foreach (int b in (n + 255) / 256 blocks) {
+    foreach (int t in 256 threads) { a[b * 256 + t] = 1.0; }
+  }
+}";
+        // A hierarchy whose levels differ in ids, units and parameters.
+        let hdl = cashmere_hwdesc::library::STANDARD_HDL
+            .replace(
+                "parallelism { unit threads; }",
+                "parallelism { unit cores; unit threads; }\n}\nhardware extra extends perfect {",
+            )
+            .replace("latency_cycles 400", "latency_cycles 800");
+        let other = cashmere_hwdesc::hdl::parse(&hdl).unwrap();
+        let std = standard_hierarchy();
+        let a = check(&parse(src).unwrap(), &std).unwrap();
+        let b = check(&parse(src).unwrap(), &other).unwrap();
+        assert_ne!(a.level, b.level, "the level id moved");
+        assert_eq!(std.name(a.level), other.name(b.level));
+        let rest = |ck: &CheckedKernel| {
+            format!(
+                "{:?} {:?} {:?}",
+                ck.kernel, ck.scalar_params, ck.array_params
+            )
+        };
+        assert_eq!(rest(&a), rest(&b));
     }
 
     #[test]

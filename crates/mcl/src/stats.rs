@@ -89,6 +89,38 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
+    /// Every `f64` counter, per-site records included, as raw bits, for
+    /// bit-exact comparisons (`-0.0` vs `0.0`, NaN payloads).
+    pub fn counter_bits(&self) -> Vec<u64> {
+        let sites = self.sites.values().flat_map(|x| {
+            [
+                x.executions,
+                x.ideal_bytes,
+                x.transaction_bytes,
+                x.broadcasts,
+            ]
+        });
+        [
+            self.total_threads,
+            self.raw_lanes,
+            self.groups,
+            self.issue_cycles,
+            self.flops,
+            self.global_bytes,
+            self.ideal_global_bytes,
+            self.local_bytes,
+            self.branch_events,
+            self.divergent_branches,
+            self.issue_slots,
+            self.active_slots,
+            self.barriers,
+        ]
+        .into_iter()
+        .chain(sites)
+        .map(f64::to_bits)
+        .collect()
+    }
+
     /// Fraction of issued lane slots doing useful work; 1.0 = no divergence,
     /// no partial warps.
     pub fn lane_efficiency(&self) -> f64 {
