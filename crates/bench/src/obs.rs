@@ -449,7 +449,7 @@ mod tests {
             node: 0,
             kernel: "k".into(),
             submit_ns: 0,
-            policy: PolicyDesc::default(),
+            policy: PolicyDesc::named("scenario"),
             candidates: vec![],
             chosen,
             reason: reason.into(),

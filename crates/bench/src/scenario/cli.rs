@@ -283,6 +283,20 @@ mod tests {
         assert!(load_fault_plan(bad.to_str().unwrap())
             .unwrap_err()
             .contains("cannot parse"));
+        // A misspelled key inside one fault is rejected, not dropped.
+        std::fs::write(
+            &bad,
+            r#"{"node_crashes":[{"node":1,"at":5000000,"rejoin_at":9}]}"#,
+        )
+        .unwrap();
+        let err = load_fault_plan(bad.to_str().unwrap()).unwrap_err();
+        assert!(
+            err.contains("unknown field `rejoin_at` in `NodeCrash`"),
+            "{err}"
+        );
+        // A `null` fault list is empty, like an absent one.
+        std::fs::write(&good, r#"{"node_crashes":null,"node_joins":[]}"#).unwrap();
+        assert!(load_fault_plan(good.to_str().unwrap()).unwrap().is_empty());
     }
 
     #[test]

@@ -128,12 +128,6 @@ impl PolicyDesc {
     }
 }
 
-impl Default for PolicyDesc {
-    fn default() -> PolicyDesc {
-        PolicyDesc::named(Policy::Scenario.name())
-    }
-}
-
 impl Serialize for PolicyDesc {
     fn to_content(&self) -> Content {
         let params = self
@@ -148,52 +142,6 @@ impl Serialize for PolicyDesc {
             ),
             (Content::Str("params".to_string()), Content::Map(params)),
         ])
-    }
-}
-
-impl Deserialize for PolicyDesc {
-    fn from_content(content: &Content) -> Result<PolicyDesc, DeError> {
-        // Legacy audit logs stored the bare policy name; normalize known
-        // aliases through `Policy::parse` and keep unknown names verbatim.
-        if let Some(s) = content.as_str() {
-            let name = Policy::parse(s).map_or_else(|| s.to_string(), |p| p.name().to_string());
-            return Ok(PolicyDesc::named(&name));
-        }
-        let Some(m) = content.as_map() else {
-            return Err(DeError::expected("string or map", "PolicyDesc", content));
-        };
-        let mut name = None;
-        let mut params = Vec::new();
-        for (k, v) in m {
-            match k.as_str() {
-                Some("name") => {
-                    name = Some(
-                        v.as_str()
-                            .ok_or_else(|| DeError::expected("string", "PolicyDesc.name", v))?
-                            .to_string(),
-                    )
-                }
-                Some("params") => {
-                    let pm = v
-                        .as_map()
-                        .ok_or_else(|| DeError::expected("map", "PolicyDesc.params", v))?;
-                    for (pk, pv) in pm {
-                        let pk = pk.as_str().ok_or_else(|| {
-                            DeError::expected("string key", "PolicyDesc.params", pk)
-                        })?;
-                        params.push((pk.to_string(), f64::from_content(pv)?));
-                    }
-                }
-                Some(other) => {
-                    return Err(DeError::custom(format!(
-                        "unknown PolicyDesc field `{other}`"
-                    )))
-                }
-                None => return Err(DeError::expected("string key", "PolicyDesc", k)),
-            }
-        }
-        let name = name.ok_or_else(|| DeError::missing_field("name", "PolicyDesc"))?;
-        Ok(PolicyDesc { name, params })
     }
 }
 
@@ -578,7 +526,7 @@ pub struct QueueView {
 
 /// One device's candidacy for a kernel call, as seen by the balancer at
 /// decision time. Rows of the audit log's candidate tables.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DeviceEstimate {
     pub device: usize,
     /// Jobs queued or running on the device when the choice was made.
@@ -1210,20 +1158,16 @@ mod tests {
 
     #[test]
     fn policy_desc_serde_accepts_legacy_strings() {
-        // Structured form round-trips.
+        // The audit log is write-only; pin the structured form it writes:
+        // parameters as a map, in declared order.
         let d = PolicyDesc {
             name: "dynamic-chunk".to_string(),
-            params: vec![("base".to_string(), 4.0), ("max".to_string(), 16.0)],
+            params: vec![("max".to_string(), 16.0), ("base".to_string(), 4.0)],
         };
-        let json = serde_json::to_string(&d).unwrap();
-        let back: PolicyDesc = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, d);
-        // Legacy audit logs stored the bare (possibly aliased) name.
-        let legacy: PolicyDesc = serde_json::from_str("\"greedy\"").unwrap();
-        assert_eq!(legacy.name, "fastest-only", "aliases normalize on load");
-        assert!(legacy.params.is_empty());
-        // Unknown fields are rejected.
-        assert!(serde_json::from_str::<PolicyDesc>("{\"name\":\"x\",\"bogus\":1}").is_err());
+        assert_eq!(
+            serde_json::to_string(&d).unwrap(),
+            r#"{"name":"dynamic-chunk","params":{"max":16.0,"base":4.0}}"#
+        );
     }
 
     #[test]

@@ -134,7 +134,7 @@ mod tests {
             node: 0,
             kernel: "k".into(),
             submit_ns: 0,
-            policy: PolicyDesc::default(),
+            policy: PolicyDesc::named(Policy::Scenario.name()),
             candidates,
             chosen,
             reason: "placed".into(),

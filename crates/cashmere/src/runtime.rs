@@ -141,59 +141,6 @@ pub struct AuditEntry {
     pub reason: String,
 }
 
-// Hand-written so old audit artifacts — which either stored the policy as
-// a bare name string or (older still) omitted the field — keep loading:
-// a missing `policy` backfills the default scenario descriptor.
-impl Deserialize for AuditEntry {
-    fn from_content(content: &serde::Content) -> Result<AuditEntry, serde::DeError> {
-        let Some(m) = content.as_map() else {
-            return Err(serde::DeError::expected("map", "AuditEntry", content));
-        };
-        let known = [
-            "seq",
-            "node",
-            "kernel",
-            "submit_ns",
-            "policy",
-            "candidates",
-            "chosen",
-            "reason",
-        ];
-        for (k, _) in m {
-            match k.as_str() {
-                Some(k) if known.contains(&k) => {}
-                Some(k) => {
-                    return Err(serde::DeError::custom(format!(
-                        "unknown AuditEntry field `{k}`"
-                    )))
-                }
-                None => return Err(serde::DeError::expected("string key", "AuditEntry", k)),
-            }
-        }
-        let field = |name: &str| {
-            m.iter()
-                .find(|(k, _)| k.as_str() == Some(name))
-                .map(|(_, v)| v)
-        };
-        let req = |name: &'static str| {
-            field(name).ok_or_else(|| serde::DeError::missing_field(name, "AuditEntry"))
-        };
-        Ok(AuditEntry {
-            seq: u64::from_content(req("seq")?)?,
-            node: usize::from_content(req("node")?)?,
-            kernel: String::from_content(req("kernel")?)?,
-            submit_ns: u64::from_content(req("submit_ns")?)?,
-            policy: match field("policy") {
-                Some(v) => PolicyDesc::from_content(v)?,
-                None => PolicyDesc::default(),
-            },
-            candidates: Vec::from_content(req("candidates")?)?,
-            chosen: Option::from_content(req("chosen")?)?,
-            reason: String::from_content(req("reason")?)?,
-        })
-    }
-}
-
 /// Trace lanes of one device (mirrors the paper's Gantt queues, Fig. 16).
 #[derive(Debug, Clone, Copy)]
 struct DevLanes {

@@ -8,6 +8,34 @@
 //! is sufficient — and serialization of unordered containers is explicitly
 //! canonicalized (sorted) so that serialized output is byte-stable, which
 //! the workspace's determinism tests rely on.
+//!
+//! The derive's `#[serde(...)]` attributes are listed in the `serde_derive`
+//! shim. Any other attribute stops the build instead of being ignored:
+//!
+//! ```
+//! #[derive(serde_derive::Deserialize)]
+//! #[serde(deny_unknown_fields)]
+//! struct Known {
+//!     #[serde(default)]
+//!     a: u32,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde_derive::Deserialize)]
+//! #[serde(rename = "other")]
+//! struct Renamed {
+//!     a: u32,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde_derive::Deserialize)]
+//! struct Skipped {
+//!     #[serde(skip)]
+//!     a: u32,
+//! }
+//! ```
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -162,18 +190,60 @@ pub trait Deserialize: Sized {
     fn from_content(content: &Content) -> Result<Self, DeError>;
 }
 
-/// Derive-macro helper: fetch and decode a named struct field from a map,
-/// treating an absent key as `null` (so `Option` fields tolerate omission).
-pub fn __field<T: Deserialize>(content: &Content, name: &str, ty: &str) -> Result<T, DeError> {
-    let map = content
+/// Derive-macro helper: the entries of a struct's map form.
+pub fn __map<'a>(content: &'a Content, ty: &str) -> Result<&'a [(Content, Content)], DeError> {
+    content
         .as_map()
-        .ok_or_else(|| DeError::expected("map", ty, content))?;
-    for (k, v) in map {
-        if k.as_str() == Some(name) {
-            return T::from_content(v);
+        .ok_or_else(|| DeError::expected("map", ty, content))
+}
+
+fn lookup<'a>(map: &'a [(Content, Content)], name: &str) -> Option<&'a Content> {
+    map.iter()
+        .find(|(k, _)| k.as_str() == Some(name))
+        .map(|(_, v)| v)
+}
+
+/// Derive-macro helper: decode a named struct field, treating an absent key
+/// as `null` (so `Option` fields tolerate omission).
+pub fn __field<T: Deserialize>(
+    map: &[(Content, Content)],
+    name: &str,
+    ty: &str,
+) -> Result<T, DeError> {
+    match lookup(map, name) {
+        Some(v) => T::from_content(v),
+        None => T::from_content(&Content::Null).map_err(|_| DeError::missing_field(name, ty)),
+    }
+}
+
+/// Derive-macro helper for `#[serde(default)]` fields: absent and `null`
+/// both yield `None`, and the caller substitutes the default.
+pub fn __default_field<T: Deserialize>(
+    map: &[(Content, Content)],
+    name: &str,
+) -> Result<Option<T>, DeError> {
+    match lookup(map, name) {
+        None | Some(Content::Null) => Ok(None),
+        Some(v) => T::from_content(v).map(Some),
+    }
+}
+
+/// Derive-macro helper for `#[serde(deny_unknown_fields)]`: reject keys
+/// that name no field (and non-string keys), so a typo fails loudly instead
+/// of silently running the default.
+pub fn __deny_unknown_fields(
+    map: &[(Content, Content)],
+    known: &[&str],
+    ty: &str,
+) -> Result<(), DeError> {
+    for (k, _) in map {
+        match k.as_str() {
+            Some(k) if known.contains(&k) => {}
+            Some(k) => return Err(DeError::custom(format!("unknown field `{k}` in `{ty}`"))),
+            None => return Err(DeError::custom(format!("non-string key in `{ty}`"))),
         }
     }
-    T::from_content(&Content::Null).map_err(|_| DeError::missing_field(name, ty))
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -505,8 +575,9 @@ impl Serialize for std::time::Duration {
 
 impl Deserialize for std::time::Duration {
     fn from_content(c: &Content) -> Result<Self, DeError> {
-        let secs: u64 = __field(c, "secs", "Duration")?;
-        let nanos: u32 = __field(c, "nanos", "Duration")?;
+        let m = __map(c, "Duration")?;
+        let secs: u64 = __field(m, "secs", "Duration")?;
+        let nanos: u32 = __field(m, "nanos", "Duration")?;
         Ok(std::time::Duration::new(secs, nanos))
     }
 }
