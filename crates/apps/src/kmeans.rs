@@ -18,7 +18,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::{Arc, RwLock};
 
 /// Unoptimized assignment kernel.
@@ -343,18 +343,6 @@ impl KmeansApp {
         KmOut { sums, counts }
     }
 
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, KmOut)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| {
-            let t = app.cpu_model.time(app.problem.job_flops(hi - lo));
-            (t, app.cpu_assign(lo, hi))
-        })
-    }
-
     /// Update centroids from an iteration's global sums (Real mode);
     /// returns the movement (max centroid displacement).
     pub fn update_centroids(&self, out: &KmOut) -> f64 {
@@ -525,7 +513,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
+    use cashmere::{build_cluster, ClusterSpec, RuntimeConfig, SatinLeafRuntime};
     use cashmere_satin::{ClusterSim, SimConfig};
 
     fn small_problem() -> KmeansProblem {
@@ -659,23 +647,11 @@ mod tests {
             d: 4,
             iterations: 1,
         };
-        let app = Arc::new(KmeansApp::real(pr, 256, 1, 5));
+        let app = KmeansApp::real(pr, 256, 1, 5);
         let reference = app.cpu_assign(0, pr.n);
-        let rt = app.satin_runtime();
-        // The Arc<KmeansApp> cannot be moved into ClusterSim directly; build
-        // a second identical app sharing the same points/centroids.
-        let app2 = KmeansApp {
-            problem: pr,
-            mode: AppMode::Real,
-            node_grain_pts: 256,
-            device_jobs: 1,
-            cpu_model: CpuLeafModel::MODERATE,
-            points: app.points.clone(),
-            centroids: Arc::clone(&app.centroids),
-        };
         let mut cluster = ClusterSim::new(
-            app2,
-            rt,
+            app,
+            SatinLeafRuntime,
             SimConfig {
                 nodes: 3,
                 ..SimConfig::default()

@@ -13,8 +13,10 @@
 //! Every application provides: MCPL kernels (unoptimized `perfect` version
 //! plus optimized lower-level versions), a divide-and-conquer driver
 //! implementing [`cashmere_satin::ClusterApp`] + [`cashmere::CashmereApp`],
-//! a CPU reference for correctness, a Satin-only leaf runtime, and
-//! phantom-mode calibration for paper-scale measurement.
+//! a CPU reference for correctness, one CPU leaf
+//! ([`cashmere::CashmereApp::leaf_cpu`]) that serves both plain-Satin
+//! leaves ([`cashmere::SatinLeafRuntime`]) and Cashmere's `leafCPU`
+//! fallback, and phantom-mode calibration for paper-scale measurement.
 
 pub mod common;
 pub mod kmeans;
@@ -22,4 +24,4 @@ pub mod matmul;
 pub mod nbody;
 pub mod raytracer;
 
-pub use common::{AppMode, CpuLeafModel, KernelSet, RunResult};
+pub use common::{AppMode, CpuLeafModel, KernelSet};

@@ -19,7 +19,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::{Arc, RwLock};
 
 /// Softening factor keeping close encounters finite.
@@ -352,36 +352,6 @@ impl NbodyApp {
         self.problem.n.min(2048)
     }
 
-    fn cpu_leaf_impl(&self, lo: u64, hi: u64) -> (SimTime, Vec<NbSeg>) {
-        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
-        let (pos, vel) = match self.mode {
-            AppMode::Real => {
-                let st = self.state.read().expect("state lock");
-                let (p, v) = st.reference_step(lo, hi, self.problem.dt);
-                (Some(p), Some(v))
-            }
-            AppMode::Phantom => (None, None),
-        };
-        (
-            t,
-            vec![NbSeg {
-                b0: lo,
-                count: hi - lo,
-                pos,
-                vel,
-            }],
-        )
-    }
-
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, Vec<NbSeg>)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| app.cpu_leaf_impl(lo, hi))
-    }
-
     /// Apply an iteration's outputs to the shared state.
     pub fn apply_segments(&self, segs: &[NbSeg]) {
         if self.mode != AppMode::Real {
@@ -497,7 +467,24 @@ impl CashmereApp for NbodyApp {
     }
 
     fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<NbSeg>) {
-        self.cpu_leaf_impl(lo, hi)
+        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
+        let (pos, vel) = match self.mode {
+            AppMode::Real => {
+                let st = self.state.read().expect("state lock");
+                let (p, v) = st.reference_step(lo, hi, self.problem.dt);
+                (Some(p), Some(v))
+            }
+            AppMode::Phantom => (None, None),
+        };
+        (
+            t,
+            vec![NbSeg {
+                b0: lo,
+                count: hi - lo,
+                pos,
+                vel,
+            }],
+        )
     }
 }
 
@@ -524,7 +511,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cashmere::{build_cluster, ClusterSpec, RuntimeConfig};
+    use cashmere::{build_cluster, ClusterSpec, RuntimeConfig, SatinLeafRuntime};
     use cashmere_satin::{ClusterSim, SimConfig};
 
     fn assemble(segs: &[NbSeg]) -> (Vec<f64>, Vec<f64>) {
@@ -685,20 +672,11 @@ mod tests {
             iterations: 1,
             dt: 0.01,
         };
-        let app = Arc::new(NbodyApp::real(pr, 50, 1, 2));
+        let app = NbodyApp::real(pr, 50, 1, 2);
         let (rp, _) = app.state.read().unwrap().reference_step(0, pr.n, pr.dt);
-        let rt = app.satin_runtime();
-        let app2 = NbodyApp {
-            problem: pr,
-            mode: AppMode::Real,
-            node_grain_bodies: 50,
-            device_jobs: 1,
-            cpu_model: CpuLeafModel::REGULAR,
-            state: Arc::clone(&app.state),
-        };
         let mut cluster = ClusterSim::new(
-            app2,
-            rt,
+            app,
+            SatinLeafRuntime,
             SimConfig {
                 nodes: 2,
                 ..SimConfig::default()

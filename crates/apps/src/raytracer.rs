@@ -19,7 +19,7 @@ use cashmere::{CashmereApp, KernelCall, KernelRegistry};
 use cashmere_des::SimTime;
 use cashmere_mcl::value::{ArgValue, ArrayArg};
 use cashmere_mcl::ElemTy;
-use cashmere_satin::{ClusterApp, CpuLeafRuntime, DcStep};
+use cashmere_satin::{ClusterApp, DcStep};
 use std::sync::Arc;
 
 /// Maximum path depth.
@@ -414,7 +414,7 @@ pub struct RaytracerProblem {
 impl RaytracerProblem {
     /// The paper's measurement: the Cornell scene at 16384×8192 with 500
     /// samples (Sec. V-B1).
-    pub fn paper() -> RaytracerProblem {
+    pub const fn paper() -> RaytracerProblem {
         RaytracerProblem {
             width: 16384,
             height: 8192,
@@ -423,7 +423,7 @@ impl RaytracerProblem {
         }
     }
 
-    pub fn pixels(&self) -> u64 {
+    pub const fn pixels(&self) -> u64 {
         self.width * self.height
     }
 
@@ -605,31 +605,6 @@ impl RaytracerApp {
         }
         out
     }
-
-    fn cpu_leaf_impl(&self, lo: u64, hi: u64) -> (SimTime, Vec<RtSeg>) {
-        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
-        let rgb = match self.mode {
-            AppMode::Real => Some(self.cpu_trace(lo, hi - lo)),
-            AppMode::Phantom => None,
-        };
-        (
-            t,
-            vec![RtSeg {
-                p0: lo,
-                count: hi - lo,
-                rgb,
-            }],
-        )
-    }
-
-    /// Satin (CPU-only) leaf runtime.
-    #[allow(clippy::type_complexity)]
-    pub fn satin_runtime(
-        self: &Arc<Self>,
-    ) -> CpuLeafRuntime<impl FnMut(usize, &(u64, u64), SimTime) -> (SimTime, Vec<RtSeg>)> {
-        let app = Arc::clone(self);
-        CpuLeafRuntime(move |_node, &(lo, hi): &(u64, u64), _now| app.cpu_leaf_impl(lo, hi))
-    }
 }
 
 impl ClusterApp for RaytracerApp {
@@ -716,7 +691,19 @@ impl CashmereApp for RaytracerApp {
     }
 
     fn leaf_cpu(&self, &(lo, hi): &(u64, u64)) -> (SimTime, Vec<RtSeg>) {
-        self.cpu_leaf_impl(lo, hi)
+        let t = self.cpu_model.time(self.problem.job_flops(hi - lo));
+        let rgb = match self.mode {
+            AppMode::Real => Some(self.cpu_trace(lo, hi - lo)),
+            AppMode::Phantom => None,
+        };
+        (
+            t,
+            vec![RtSeg {
+                p0: lo,
+                count: hi - lo,
+                rgb,
+            }],
+        )
     }
 }
 

@@ -1,5 +1,6 @@
 //! Shared experiment vocabulary: applications, measurement series, run
-//! outcomes, and the Fig. 6 kernel-only measurement.
+//! outcomes, what each application contributes to a run (`BenchApp`),
+//! and the Fig. 6 kernel-only measurement.
 //!
 //! Cluster execution lives in [`crate::scenario`]: every bench bin builds
 //! [`crate::scenario::Scenario`] values and hands them to
@@ -10,15 +11,17 @@
 //! job creation because it needs to create 8 times more jobs to keep one
 //! node busy" (Sec. V-B).
 
-use cashmere::{KernelCall, KernelRegistry};
-use cashmere_apps::kmeans::{KmeansApp, KmeansProblem};
-use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
-use cashmere_apps::nbody::{NbodyApp, NbodyProblem};
+use crate::scenario::Problem;
+use cashmere::{CashmereApp, KernelCall, KernelRegistry};
+use cashmere_apps::kmeans::{self, Centroids, KmeansApp, KmeansProblem};
+use cashmere_apps::matmul::{MatJob, MatmulApp, MatmulProblem};
+use cashmere_apps::nbody::{self, NbodyApp, NbodyProblem};
 use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
 use cashmere_apps::{AppMode, KernelSet};
 use cashmere_devsim::{ExecMode, SimDevice};
 use cashmere_hwdesc::DeviceKind;
 use cashmere_mcl::Sampling;
+use cashmere_satin::{ClusterSim, LeafRuntime};
 use serde::{Deserialize, Serialize};
 
 /// The four applications (Table II order).
@@ -180,21 +183,6 @@ pub struct RunOutcome {
     pub recovery: Option<RecoverySummary>,
 }
 
-/// Node-level grain at paper scale. The light-communication applications
-/// use ≈1024 node jobs so the end-of-run tail (in-flight leaves cannot
-/// migrate) stays a small fraction of the makespan even on the 22-node
-/// heterogeneous configurations; matmul uses ≈256 taller jobs because each
-/// device job re-ships a `B` column panel, so smaller jobs would multiply
-/// PCIe traffic.
-pub(crate) fn node_grain(app: AppId) -> u64 {
-    match app {
-        AppId::Raytracer => RaytracerProblem::paper().pixels() / 1024,
-        AppId::Matmul => 128,     // 32768 rows / 128 = 256 jobs
-        AppId::Kmeans => 262_144, // ≈1024 jobs of 268 M points
-        AppId::Nbody => 1_954,    // 2 M bodies / 1024
-    }
-}
-
 pub(crate) const DEVICE_JOBS: u64 = 8;
 
 pub(crate) fn kernel_set(series: Series) -> KernelSet {
@@ -204,13 +192,226 @@ pub(crate) fn kernel_set(series: Series) -> KernelSet {
     }
 }
 
+/// What one application contributes to a scenario run and to the Fig. 6
+/// measurement. Everything else — the cluster, Satin or Cashmere leaves,
+/// the outcome — is generic ([`crate::scenario::run_scenario`]).
+pub(crate) trait BenchApp: CashmereApp + Sized {
+    type Problem: Copy;
+
+    /// Node-level grain at paper scale. The light-communication
+    /// applications use ≈1024 node jobs so the end-of-run tail (in-flight
+    /// leaves cannot migrate) stays a small fraction of the makespan even on
+    /// the 22-node heterogeneous configurations; matmul uses ≈256 taller
+    /// jobs because each device job re-ships a `B` column panel, so smaller
+    /// jobs would multiply PCIe traffic.
+    const NODE_GRAIN: u64;
+
+    /// The scenario's problem: its explicit dimensions for this app,
+    /// otherwise the paper scale.
+    fn problem(p: Problem) -> Self::Problem;
+
+    /// The phantom-mode app: `grain`-sized node-level jobs, each split
+    /// into `device_jobs` device jobs.
+    fn phantom(pr: Self::Problem, grain: u64, device_jobs: u64) -> Self;
+
+    fn registry(set: KernelSet) -> KernelRegistry;
+
+    /// Algorithmic flops of the whole measured computation.
+    fn flops(pr: &Self::Problem) -> f64;
+
+    /// Run the measured computation on a built cluster; returns its virtual
+    /// time in seconds.
+    fn drive<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &Self::Problem) -> f64;
+
+    /// Fig. 6: one representative device job of the paper-scale problem
+    /// and its flop count.
+    fn fig6_job(&self, pr: &Self::Problem) -> (Self::Input, f64);
+}
+
+/// Run `$body` with the type alias `$A` bound to the [`BenchApp`] of
+/// application `$id` — the one `AppId` → type dispatch.
+macro_rules! with_app {
+    ($id:expr, $A:ident => $body:expr) => {
+        match $id {
+            $crate::runners::AppId::Raytracer => {
+                type $A = cashmere_apps::raytracer::RaytracerApp;
+                $body
+            }
+            $crate::runners::AppId::Matmul => {
+                type $A = cashmere_apps::matmul::MatmulApp;
+                $body
+            }
+            $crate::runners::AppId::Kmeans => {
+                type $A = cashmere_apps::kmeans::KmeansApp;
+                $body
+            }
+            $crate::runners::AppId::Nbody => {
+                type $A = cashmere_apps::nbody::NbodyApp;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use with_app;
+
+impl BenchApp for RaytracerApp {
+    type Problem = RaytracerProblem;
+    const NODE_GRAIN: u64 = RaytracerProblem::paper().pixels() / 1024;
+
+    fn problem(p: Problem) -> RaytracerProblem {
+        match p {
+            Problem::Raytracer {
+                width,
+                height,
+                samples,
+            } => RaytracerProblem {
+                width,
+                height,
+                samples,
+                seed: 1,
+            },
+            _ => RaytracerProblem::paper(),
+        }
+    }
+    fn phantom(pr: RaytracerProblem, grain: u64, device_jobs: u64) -> Self {
+        RaytracerApp::new(pr, AppMode::Phantom, grain, device_jobs)
+    }
+    fn registry(set: KernelSet) -> KernelRegistry {
+        RaytracerApp::registry(set)
+    }
+    fn flops(pr: &RaytracerProblem) -> f64 {
+        pr.flops()
+    }
+    fn drive<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &RaytracerProblem) -> f64 {
+        let _ = cs.run_root((0, pr.pixels()));
+        cs.report().makespan.as_secs_f64()
+    }
+    fn fig6_job(&self, pr: &RaytracerProblem) -> ((u64, u64), f64) {
+        let job = (0, Self::NODE_GRAIN / DEVICE_JOBS);
+        (job, pr.job_flops(job.1))
+    }
+}
+
+impl BenchApp for MatmulApp {
+    type Problem = MatmulProblem;
+    const NODE_GRAIN: u64 = 128; // 32768 rows / 128 = 256 jobs
+
+    fn problem(p: Problem) -> MatmulProblem {
+        match p {
+            Problem::Matmul { n, m, p } => MatmulProblem { n, m, p },
+            _ => MatmulProblem::paper(),
+        }
+    }
+    fn phantom(pr: MatmulProblem, grain: u64, device_jobs: u64) -> Self {
+        MatmulApp::phantom(pr, grain, device_jobs)
+    }
+    fn registry(set: KernelSet) -> KernelRegistry {
+        MatmulApp::registry(set)
+    }
+    fn flops(pr: &MatmulProblem) -> f64 {
+        pr.flops()
+    }
+    fn drive<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &MatmulProblem) -> f64 {
+        // Strong scaling includes distributing B to every node — the O(n²)
+        // traffic that makes matmul communication-heavy.
+        let start = cs.now();
+        cs.broadcast(pr.p * pr.m * 4);
+        let bcast = (cs.now() - start).as_secs_f64();
+        let _ = cs.run_root(MatJob {
+            r0: 0,
+            r1: pr.n,
+            c0: 0,
+            c1: pr.m,
+        });
+        bcast + cs.report().makespan.as_secs_f64()
+    }
+    fn fig6_job(&self, pr: &MatmulProblem) -> (MatJob, f64) {
+        // One device job exactly as the cluster runs produce them: a
+        // node-grain row stripe × one of the 8 column panels.
+        let job = self.device_jobs(&self.row_job(0, Self::NODE_GRAIN))[0];
+        (job, pr.block_flops(job.rows(), job.cols()))
+    }
+}
+
+impl BenchApp for KmeansApp {
+    type Problem = KmeansProblem;
+    const NODE_GRAIN: u64 = 262_144; // ≈1024 jobs of 268 M points
+
+    fn problem(p: Problem) -> KmeansProblem {
+        match p {
+            Problem::Kmeans {
+                n,
+                k,
+                d,
+                iterations,
+            } => KmeansProblem {
+                n,
+                k,
+                d,
+                iterations,
+            },
+            _ => KmeansProblem::paper(),
+        }
+    }
+    fn phantom(pr: KmeansProblem, grain: u64, device_jobs: u64) -> Self {
+        KmeansApp::phantom(pr, grain, device_jobs)
+    }
+    fn registry(set: KernelSet) -> KernelRegistry {
+        KmeansApp::registry(set)
+    }
+    fn flops(pr: &KmeansProblem) -> f64 {
+        pr.total_flops()
+    }
+    fn drive<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &KmeansProblem) -> f64 {
+        // Phantom runs never update the centroids.
+        let (_, elapsed) = kmeans::run_iterations(cs, pr, &Centroids::default(), false);
+        elapsed.as_secs_f64()
+    }
+    fn fig6_job(&self, pr: &KmeansProblem) -> ((u64, u64), f64) {
+        let job = (0, Self::NODE_GRAIN / DEVICE_JOBS);
+        (job, pr.job_flops(job.1))
+    }
+}
+
+impl BenchApp for NbodyApp {
+    type Problem = NbodyProblem;
+    const NODE_GRAIN: u64 = 1_954; // 2 M bodies / 1024
+
+    fn problem(p: Problem) -> NbodyProblem {
+        match p {
+            Problem::Nbody { bodies, iterations } => NbodyProblem {
+                n: bodies,
+                iterations,
+                dt: 0.01,
+            },
+            _ => NbodyProblem::paper(),
+        }
+    }
+    fn phantom(pr: NbodyProblem, grain: u64, device_jobs: u64) -> Self {
+        NbodyApp::phantom(pr, grain, device_jobs)
+    }
+    fn registry(set: KernelSet) -> KernelRegistry {
+        NbodyApp::registry(set)
+    }
+    fn flops(pr: &NbodyProblem) -> f64 {
+        pr.total_flops()
+    }
+    fn drive<L: LeafRuntime<Self>>(cs: &mut ClusterSim<Self, L>, pr: &NbodyProblem) -> f64 {
+        nbody::run_iterations(cs, pr, |_| {}).as_secs_f64()
+    }
+    fn fig6_job(&self, pr: &NbodyProblem) -> ((u64, u64), f64) {
+        let job = (0, Self::NODE_GRAIN / DEVICE_JOBS);
+        (job, pr.job_flops(job.1))
+    }
+}
+
 /// Fig. 6 measurement: kernel execution time alone (no transfers) for one
 /// representative device job of the paper-scale problem.
 pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f64> {
     let _prof = cashmere_des::obs::prof::scope("kernel::measure");
     let h = cashmere_hwdesc::standard_hierarchy();
     let dev = SimDevice::new(&h, device.level(&h)).ok()?;
-    let (reg, call, flops) = fig6_launch(app, set);
+    let (reg, call, flops) = with_app!(app, A => fig6_launch::<A>(set));
     let ck = reg.select(&call.kernel, dev.level)?;
     let run = dev
         .run_kernel(
@@ -226,52 +427,14 @@ pub fn kernel_gflops(app: AppId, set: KernelSet, device: DeviceKind) -> Option<f
     Some(flops / run.cost.total_s / 1e9)
 }
 
-/// The launch Fig. 6 measures for `app`: the app's kernel registry for
-/// `set`, the kernel call of one representative device job of the
-/// paper-scale problem, and that job's flop count.
-fn fig6_launch(app: AppId, set: KernelSet) -> (KernelRegistry, KernelCall, f64) {
-    let job = (0u64, node_grain(app) / DEVICE_JOBS);
-    match app {
-        AppId::Raytracer => {
-            let pr = RaytracerProblem::paper();
-            let a = RaytracerApp::new(pr, AppMode::Phantom, node_grain(app), DEVICE_JOBS);
-            (
-                RaytracerApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-        AppId::Matmul => {
-            let pr = MatmulProblem::paper();
-            let a = MatmulApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            // One device job exactly as the cluster runs produce them: a
-            // node-grain row stripe × one of the 8 column panels.
-            let djob = cashmere::CashmereApp::device_jobs(&a, &a.row_job(0, node_grain(app)))[0];
-            (
-                MatmulApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &djob),
-                pr.block_flops(djob.rows(), djob.cols()),
-            )
-        }
-        AppId::Kmeans => {
-            let pr = KmeansProblem::paper();
-            let a = KmeansApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            (
-                KmeansApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-        AppId::Nbody => {
-            let pr = NbodyProblem::paper();
-            let a = NbodyApp::phantom(pr, node_grain(app), DEVICE_JOBS);
-            (
-                NbodyApp::registry(set),
-                cashmere::CashmereApp::kernel_call(&a, &job),
-                pr.job_flops(job.1),
-            )
-        }
-    }
+/// The launch Fig. 6 measures for app `A`: its kernel registry for `set`,
+/// the kernel call of one representative device job of the paper-scale
+/// problem, and that job's flop count.
+fn fig6_launch<A: BenchApp>(set: KernelSet) -> (KernelRegistry, KernelCall, f64) {
+    let pr = A::problem(Problem::Paper);
+    let a = A::phantom(pr, A::NODE_GRAIN, DEVICE_JOBS);
+    let (job, flops) = a.fig6_job(&pr);
+    (A::registry(set), a.kernel_call(&job), flops)
 }
 
 #[cfg(test)]
@@ -315,7 +478,7 @@ mod tests {
         let h = cashmere_hwdesc::standard_hierarchy();
         for app in AppId::ALL {
             for set in [KernelSet::Unoptimized, KernelSet::Optimized] {
-                let (reg, call, _) = fig6_launch(app, set);
+                let (reg, call, _) = with_app!(app, A => fig6_launch::<A>(set));
                 for dev in DeviceKind::ALL {
                     let what = format!("{} {set:?} on {}", app.name(), dev.level_name());
                     let level = dev.level(&h);

@@ -17,7 +17,11 @@
 //!
 //! [`run_scenario`] is the one driver behind every bench binary: it threads
 //! the spec through `satin::SimConfig`, `cashmere::RuntimeConfig`,
-//! `netsim::NetConfig`, and the DES fault/observability hooks. The bins are
+//! `netsim::NetConfig`, and the DES fault/observability hooks. It is
+//! generic over the application: one Satin path (leaves on
+//! `cashmere::SatinLeafRuntime`) and one Cashmere path (`build_cluster`),
+//! with the per-app facts supplied by a small trait
+//! (`runners::BenchApp`). The bins are
 //! thin presets that *construct* scenarios (see [`Scenario::paper`]) and
 //! hand them to this driver and the sweep executor.
 //!
@@ -30,22 +34,16 @@ pub mod cli;
 
 use crate::advisor::PerturbSet;
 use crate::obs::ObsCapture;
-use crate::runners::{kernel_set, node_grain, AppId, RecoverySummary, RunOutcome, Series};
+use crate::runners::{kernel_set, with_app, AppId, BenchApp, RecoverySummary, RunOutcome, Series};
 use cashmere::balancer::Policy;
-use cashmere::{build_cluster, AuditEntry, ClusterSpec, RuntimeConfig};
-use cashmere_apps::kmeans::{self, KmeansApp, KmeansProblem};
-use cashmere_apps::matmul::{MatmulApp, MatmulProblem};
-use cashmere_apps::nbody::{self, NbodyApp, NbodyProblem};
-use cashmere_apps::raytracer::{RaytracerApp, RaytracerProblem};
-use cashmere_apps::AppMode;
+use cashmere::{build_cluster, AuditEntry, ClusterSpec, RuntimeConfig, SatinLeafRuntime};
 use cashmere_des::fault::FaultPlan;
 use cashmere_des::obs::{prof, PerturbTarget};
 use cashmere_des::SimTime;
 use cashmere_hwdesc::DeviceKind;
 use cashmere_netsim::NetConfig;
-use cashmere_satin::{ClusterApp, ClusterSim, LeafRuntime, RunReport, SimConfig, StealKind};
+use cashmere_satin::{ClusterApp, ClusterSim, LeafRuntime, SimConfig, StealKind};
 use serde::{Content, DeError, Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Problem size of one scenario. `Paper` resolves to the application's
 /// Sec. V measurement scale; the per-app variants pin explicit dimensions
@@ -699,7 +697,8 @@ impl Scenario {
 
     /// Node-level grain: the explicit override or the app's paper grain.
     pub fn node_grain(&self) -> u64 {
-        self.grain.unwrap_or_else(|| node_grain(self.app))
+        self.grain
+            .unwrap_or_else(|| with_app!(self.app, A => A::NODE_GRAIN))
     }
 }
 
@@ -749,39 +748,6 @@ impl ScenarioReport {
     }
 }
 
-/// Failure accounting of one run: the human-readable summary plus the
-/// structured recovery counters. Both `None` for fault-free runs, keeping
-/// their artifact bytes unchanged.
-fn failures_of(r: &RunReport) -> (Option<String>, Option<RecoverySummary>) {
-    if !r.saw_failures() {
-        return (None, None);
-    }
-    (
-        Some(r.failure_summary()),
-        Some(RecoverySummary::from_report(r)),
-    )
-}
-
-/// Clone the observability exports (span trace, metrics, audit log, run
-/// report, probe series) out of a finished run, when observing.
-fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
-    on: bool,
-    cs: &ClusterSim<A, L>,
-    audit: Vec<AuditEntry>,
-) -> Option<ObsCapture> {
-    on.then(|| ObsCapture {
-        trace: cs.trace().clone(),
-        metrics: cs.metrics().clone(),
-        audit,
-        report: cs.report().clone(),
-        probes: cs.probe_series().cloned(),
-        // Finalize against the run end, not just the last recorded span:
-        // time-weighted gauge means must include the closing segment
-        // between their last update and the finish.
-        horizon: cs.trace().horizon().max(cs.report().total_time),
-    })
-}
-
 /// Run one scenario end to end — the single driver behind every bench bin.
 ///
 /// Deterministic: two calls with equal scenarios produce identical
@@ -789,281 +755,76 @@ fn capture_of<A: ClusterApp, L: LeafRuntime<A>>(
 /// provenance block of a report re-runnable byte-for-byte at any `--jobs`.
 pub fn run_scenario(sc: &Scenario) -> ScenarioRun {
     let _prof = prof::scope("scenario::run");
-    let observe = sc.observe();
+    with_app!(sc.app, A => run::<A>(sc))
+}
+
+/// [`run_scenario`] for application `A`: one Satin path, one Cashmere path.
+fn run<A: BenchApp>(sc: &Scenario) -> ScenarioRun {
     let cfg = sc.sim_config();
-    let rt_cfg = sc.runtime_config();
     let spec = sc.cluster();
     let grain = sc.node_grain();
-    // Satin: leaves sized for a single core (8× more jobs per node).
-    let satin_grain = (grain / 8).max(1);
-    let device_jobs = sc.device_jobs;
-    let perturb = sc.perturb.as_ref();
-
-    fn perturb_runtime<A: ClusterApp>(
-        perturb: Option<&PerturbSet>,
-        cs: &mut ClusterSim<A, cashmere::CashmereLeafRuntime>,
-    ) where
-        cashmere::CashmereLeafRuntime: LeafRuntime<A>,
-    {
-        if let Some(p) = perturb {
+    let pr = A::problem(sc.problem);
+    if sc.series == Series::Satin {
+        // Satin: leaves sized for a single core (8× more jobs per node).
+        let app = A::phantom(pr, (grain / 8).max(1), 1);
+        let nodes = spec.nodes();
+        let mut cs = ClusterSim::new(app, SatinLeafRuntime, SimConfig { nodes, ..cfg });
+        let makespan_s = A::drive(&mut cs, &pr);
+        finish(sc, &cs, makespan_s, A::flops(&pr), (0, 0), &[])
+    } else {
+        let app = A::phantom(pr, grain, sc.device_jobs);
+        let reg = A::registry(kernel_set(sc.series));
+        let mut cs = build_cluster(app, reg, &spec, cfg, sc.runtime_config())
+            .expect("every node names at least one known device (Scenario::validate)");
+        if let Some(p) = &sc.perturb {
             p.apply_runtime(cs.leaf_runtime_mut());
         }
+        let makespan_s = A::drive(&mut cs, &pr);
+        let l = cs.leaf_runtime();
+        let counts = (l.kernels_run, l.cpu_fallbacks);
+        finish(sc, &cs, makespan_s, A::flops(&pr), counts, &l.audit)
     }
+}
 
-    let (makespan_s, total_flops, kernels, fallbacks, steals, bytes, failures, cap) = match sc.app {
-        AppId::Raytracer => {
-            let pr = match sc.problem {
-                Problem::Raytracer {
-                    width,
-                    height,
-                    samples,
-                } => RaytracerProblem {
-                    width,
-                    height,
-                    samples,
-                    seed: 1,
-                },
-                _ => RaytracerProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(RaytracerApp::new(pr, AppMode::Phantom, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = RaytracerApp::new(pr, AppMode::Phantom, satin_grain, 1);
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let _ = cs.run_root((0, pr.pixels()));
-                    let r = cs.report();
-                    (
-                        r.makespan.as_secs_f64(),
-                        pr.flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = RaytracerApp::new(pr, AppMode::Phantom, grain, device_jobs);
-                    let reg = RaytracerApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let _ = cs.run_root((0, pr.pixels()));
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
-                    (
-                        r.makespan.as_secs_f64(),
-                        pr.flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Matmul => {
-            let pr = match sc.problem {
-                Problem::Matmul { n, m, p } => MatmulProblem { n, m, p },
-                _ => MatmulProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = MatmulApp::phantom(pr, satin_grain, 1);
-                    let root = a.row_job(0, pr.n);
-                    let rt = a.satin_runtime();
-                    let mut cs = ClusterSim::new(
-                        a,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    // Strong scaling includes distributing B to every node —
-                    // the O(n²) traffic that makes matmul communication-heavy.
-                    let start = cs.now();
-                    cs.broadcast(pr.p * pr.m * 4);
-                    let bcast = (cs.now() - start).as_secs_f64();
-                    let _ = cs.run_root(root);
-                    let r = cs.report();
-                    (
-                        bcast + r.makespan.as_secs_f64(),
-                        pr.flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = MatmulApp::phantom(pr, grain, device_jobs);
-                    let root = a.row_job(0, pr.n);
-                    let reg = MatmulApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let start = cs.now();
-                    cs.broadcast(pr.p * pr.m * 4);
-                    let bcast = (cs.now() - start).as_secs_f64();
-                    let _ = cs.run_root(root);
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
-                    (
-                        bcast + r.makespan.as_secs_f64(),
-                        pr.flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Kmeans => {
-            let pr = match sc.problem {
-                Problem::Kmeans {
-                    n,
-                    k,
-                    d,
-                    iterations,
-                } => KmeansProblem {
-                    n,
-                    k,
-                    d,
-                    iterations,
-                },
-                _ => KmeansProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(KmeansApp::phantom(pr, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = KmeansApp::phantom(pr, satin_grain, 1);
-                    let cents = app2.centroids.clone();
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    let r = cs.report();
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = KmeansApp::phantom(pr, grain, device_jobs);
-                    let cents = a.centroids.clone();
-                    let reg = KmeansApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let (_, elapsed) = kmeans::run_iterations(&mut cs, &pr, &cents, false);
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
-                    )
-                }
-            }
-        }
-        AppId::Nbody => {
-            let pr = match sc.problem {
-                Problem::Nbody { bodies, iterations } => NbodyProblem {
-                    n: bodies,
-                    iterations,
-                    dt: 0.01,
-                },
-                _ => NbodyProblem::paper(),
-            };
-            match sc.series {
-                Series::Satin => {
-                    let a = Arc::new(NbodyApp::phantom(pr, satin_grain, 1));
-                    let rt = a.satin_runtime();
-                    let app2 = NbodyApp::phantom(pr, satin_grain, 1);
-                    let mut cs = ClusterSim::new(
-                        app2,
-                        rt,
-                        SimConfig {
-                            nodes: spec.nodes(),
-                            ..cfg
-                        },
-                    );
-                    let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    let r = cs.report();
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        0,
-                        0,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, Vec::new()),
-                    )
-                }
-                _ => {
-                    let a = NbodyApp::phantom(pr, grain, device_jobs);
-                    let reg = NbodyApp::registry(kernel_set(sc.series));
-                    let mut cs = build_cluster(a, reg, &spec, cfg, rt_cfg).unwrap();
-                    perturb_runtime(perturb, &mut cs);
-                    let elapsed = nbody::run_iterations(&mut cs, &pr, |_| {});
-                    let (r, l) = (cs.report(), cs.leaf_runtime());
-                    (
-                        elapsed.as_secs_f64(),
-                        pr.total_flops(),
-                        l.kernels_run,
-                        l.cpu_fallbacks,
-                        r.steals_ok,
-                        r.bytes_total(),
-                        failures_of(r),
-                        capture_of(observe, &cs, l.audit.clone()),
-                    )
-                }
-            }
-        }
-    };
-
+/// Assemble the outcome of a finished run from its report and the leaf
+/// runtime's `(kernels_run, cpu_fallbacks)`, cloning the observability
+/// exports (span trace, metrics, audit log, run report, probe series) when
+/// the scenario observes. Failure accounting stays `None` for fault-free
+/// runs, keeping their artifact bytes unchanged.
+fn finish<A: ClusterApp, L: LeafRuntime<A>>(
+    sc: &Scenario,
+    cs: &ClusterSim<A, L>,
+    makespan_s: f64,
+    total_flops: f64,
+    (kernels_run, cpu_fallbacks): (u64, u64),
+    audit: &[AuditEntry],
+) -> ScenarioRun {
+    let r = cs.report();
+    let faulted = r.saw_failures();
     let outcome = RunOutcome {
         app: sc.app.name().to_string(),
         series: sc.series.name().to_string(),
-        nodes: spec.nodes(),
+        nodes: sc.nodes.len(),
         makespan_s,
         gflops: total_flops / makespan_s / 1e9,
-        kernels_run: kernels,
-        cpu_fallbacks: fallbacks,
-        steals_ok: steals,
-        network_bytes: bytes,
-        failure_summary: failures.0,
-        recovery: failures.1,
+        kernels_run,
+        cpu_fallbacks,
+        steals_ok: r.steals_ok,
+        network_bytes: r.bytes_total(),
+        failure_summary: faulted.then(|| r.failure_summary()),
+        recovery: faulted.then(|| RecoverySummary::from_report(r)),
     };
+    let cap = sc.observe().then(|| ObsCapture {
+        trace: cs.trace().clone(),
+        metrics: cs.metrics().clone(),
+        audit: audit.to_vec(),
+        report: r.clone(),
+        probes: cs.probe_series().cloned(),
+        // Finalize against the run end, not just the last recorded span:
+        // time-weighted gauge means must include the closing segment
+        // between their last update and the finish.
+        horizon: cs.trace().horizon().max(r.total_time),
+    });
     ScenarioRun { outcome, cap }
 }
 

@@ -2,7 +2,8 @@
 //! byte-identical stdout (tables) and JSON output for the same invocation.
 //!
 //! Runs the real `scaling` binary (one app to keep CI fast) twice and
-//! compares both channels byte-for-byte. A second test repeats one
+//! compares both channels byte-for-byte; the JSON must also equal the
+//! committed `fig7_14_scaling_kmeans.json` it overwrites. A second test repeats one
 //! heterogeneous run in-process: the repeat is served by the process-wide
 //! kernel-measurement tier and must still be byte-identical.
 
@@ -12,6 +13,16 @@ use cashmere_des::obs::{prof, ProfNode};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::process::Command;
+
+/// The single-app JSON `scaling kmeans` writes: committed, and
+/// overwritten by every run below.
+fn kmeans_json_path() -> PathBuf {
+    let mut json = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    json.pop();
+    json.pop();
+    json.push("bench/out/fig7_14_scaling_kmeans.json");
+    json
+}
 
 fn run_scaling(jobs: &str) -> (Vec<u8>, Vec<u8>) {
     let exe = env!("CARGO_BIN_EXE_scaling");
@@ -24,19 +35,20 @@ fn run_scaling(jobs: &str) -> (Vec<u8>, Vec<u8>) {
         "scaling --jobs {jobs} failed: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    // The JSON lands in bench/out/ at the repo root.
-    let mut json = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    json.pop();
-    json.pop();
-    json.push("bench/out/fig7_14_scaling_kmeans.json");
-    let json = std::fs::read(&json).expect("scaling wrote its JSON");
+    let json = std::fs::read(kmeans_json_path()).expect("scaling wrote its JSON");
     (out.stdout, json)
 }
 
 #[test]
 fn scaling_jobs_4_is_byte_identical_to_jobs_1() {
+    // Read the committed artifact before the runs overwrite it.
+    let committed = std::fs::read(kmeans_json_path()).expect("committed k-means JSON");
     let (stdout_seq, json_seq) = run_scaling("1");
     let (stdout_par, json_par) = run_scaling("4");
+    assert!(
+        json_seq == committed,
+        "--jobs 1 does not reproduce the committed fig7_14_scaling_kmeans.json"
+    );
     assert_eq!(
         stdout_seq, stdout_par,
         "stdout differs between --jobs 1 and --jobs 4"

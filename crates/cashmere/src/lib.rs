@@ -18,7 +18,8 @@
 //! * [`runtime`] — the `enableManyCore()` layer: node-level D&C jobs expand
 //!   into device jobs with overlapped PCIe transfers and kernel
 //!   executions, automatic device-memory management, and the
-//!   try/catch → `leafCPU` fallback;
+//!   try/catch → `leafCPU` fallback, whose [`CashmereApp::leaf_cpu`] also
+//!   runs every leaf of the plain-Satin baseline ([`SatinLeafRuntime`]);
 //! * [`init`] — master/slave initialization with run-time-info broadcast
 //!   and per-device kernel compilation;
 //! * [`spec`] — cluster compositions, including the paper's Table III
@@ -95,7 +96,9 @@ pub use counterfactual::{replay_audit, CounterfactualReplay, PlacementFlip};
 pub use init::{initialize, InitReport};
 pub use paper_api::{Cashmere, KernelHandle, KernelLaunch, LaunchError, LaunchResult};
 pub use registry::{arg_shape, KernelRegistry, StatsKey};
-pub use runtime::{AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig};
+pub use runtime::{
+    AuditEntry, CashmereApp, CashmereLeafRuntime, KernelCall, RuntimeConfig, SatinLeafRuntime,
+};
 pub use spec::ClusterSpec;
 
 use cashmere_satin::{ClusterSim, SimConfig};

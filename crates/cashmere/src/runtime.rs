@@ -87,8 +87,22 @@ pub trait CashmereApp: ClusterApp {
     /// Build the device-job output from the post-execution arguments.
     fn job_output(&self, input: &Self::Input, args: Vec<ArgValue>) -> Self::Output;
 
-    /// The `leafCPU` fallback: CPU time and output for one device job.
+    /// The CPU leaf: single-core time and output for `input`. Cashmere's
+    /// `leafCPU` fallback calls it for one device job; plain Satin
+    /// ([`SatinLeafRuntime`]) calls it for every node-level leaf.
     fn leaf_cpu(&self, input: &Self::Input) -> (SimTime, Self::Output);
+}
+
+/// Plain Satin (the paper's CPU-only baseline): every leaf runs on one core
+/// through [`CashmereApp::leaf_cpu`], the same code as Cashmere's fallback.
+#[derive(Debug, Clone, Copy)]
+pub struct SatinLeafRuntime;
+
+impl<A: CashmereApp> LeafRuntime<A> for SatinLeafRuntime {
+    fn plan(&mut self, app: &A, input: &A::Input, _ctx: LeafCtx<'_>) -> LeafPlan<A::Output> {
+        let (compute, output) = app.leaf_cpu(input);
+        LeafPlan::Cpu { compute, output }
+    }
 }
 
 /// Runtime knobs.

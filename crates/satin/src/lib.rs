@@ -14,8 +14,11 @@
 //! * [`sim`] — the simulated cluster used for every paper experiment:
 //!   nodes, cores, random work stealing over the modelled interconnect,
 //!   CPU-contention-coupled message handling, fault tolerance, and
-//!   pluggable leaf execution (plain CPU leaves here; Cashmere's many-core
-//!   leaves in the `cashmere` crate).
+//!   pluggable leaf execution ([`LeafRuntime`]). Both leaf runtimes the
+//!   applications use live in the `cashmere` crate: `SatinLeafRuntime` runs each one on a
+//!   CPU core through the app's `leaf_cpu` (the plain-Satin series), and
+//!   `CashmereLeafRuntime` on many-core devices. [`CpuLeafRuntime`] wraps
+//!   a closure, for engine tests that need no application.
 
 pub mod sim;
 pub mod threads;

@@ -7,7 +7,9 @@
 //! charge the network for steals and result returns.
 //!
 //! Leaf execution is pluggable via [`LeafRuntime`]: plain Satin runs leaves
-//! on one CPU core ([`CpuLeafRuntime`]); Cashmere (in the `cashmere` crate)
+//! on one CPU core (`cashmere::SatinLeafRuntime` for the applications,
+//! through the same `leaf_cpu` as Cashmere's fallback; [`CpuLeafRuntime`]
+//! for closure-defined test apps); Cashmere (in the `cashmere` crate)
 //! plans leaves onto the node's many-core devices and returns an
 //! asynchronous completion time, which is how transfer/kernel overlap and
 //! the device load balancer enter the simulation.
